@@ -141,6 +141,21 @@ let fetch_set t vpage =
     Hashtbl.replace t.fetch_cache vpage (t.gen, set);
     set
 
+(* Fetch sets partition the registered pages (each is one connected
+   component of the sharing graph), so one [fetch_set] per component
+   covers them all. *)
+let largest_fetch_set t =
+  let covered = Hashtbl.create 64 in
+  List.fold_left
+    (fun best vp ->
+      if Hashtbl.mem covered vp then best
+      else begin
+        let set = fetch_set t vp in
+        List.iter (fun p -> Hashtbl.replace covered p ()) set;
+        max best (List.length set)
+      end)
+    0 (registered_pages t)
+
 let evict_set t vpage =
   match Hashtbl.find_opt t.evict_cache vpage with
   | Some (g, set) when g = t.gen -> set

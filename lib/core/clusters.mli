@@ -61,6 +61,10 @@ val fetch_set : t -> vpage -> vpage list
     clusters reachable from [vpage] through shared pages.  For an
     unregistered page this is just [[vpage]]. *)
 
+val largest_fetch_set : t -> int
+(** Size of the largest {!fetch_set} of a registered page; [0] when no
+    page is registered. *)
+
 val evict_set : t -> vpage -> vpage list
 (** Pages of one cluster containing [vpage] (single-cluster eviction is
     always safe).  [[vpage]] if unregistered. *)

@@ -148,6 +148,20 @@ let oldest_residents t n =
   done;
   List.rev !acc
 
+let find_oldest_resident t n accept =
+  drop_dead t;
+  let mask = Array.length t.fq_vp - 1 in
+  let rec go i seen =
+    if seen >= n || i = t.fq_tail then None
+    else
+      let s = i land mask in
+      let vp = t.fq_vp.(s) in
+      if not (live_entry t vp t.fq_seq.(s)) then go (i + 1) seen
+      else if accept vp then Some vp
+      else go (i + 1) (seen + 1)
+  in
+  go t.fq_head 0
+
 let fresh_version t =
   t.version_counter <- t.version_counter + 1;
   t.version_counter

@@ -40,6 +40,11 @@ val oldest_resident : t -> vpage option
 val oldest_residents : t -> int -> vpage list
 (** Up to [n] distinct resident pages in FIFO order. *)
 
+val find_oldest_resident : t -> int -> (vpage -> bool) -> vpage option
+(** [find_oldest_resident t n accept] is the first page of
+    [oldest_residents t n] that satisfies [accept], found by walking the
+    FIFO and stopping at the first match, without building the list. *)
+
 val fetch : t -> vpage list -> unit
 (** Bring the given non-resident pages in (already-resident pages are
     skipped).  The caller must have made room within the budget.

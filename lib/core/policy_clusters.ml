@@ -43,24 +43,24 @@ let choose_victims t ~fetching () =
   let pager = Runtime.pager t.runtime in
   Sgx.Flat.clear t.in_fetch;
   List.iter (fun vp -> Sgx.Flat.set t.in_fetch vp 1) fetching;
-  let candidates = Pager.oldest_residents pager 64 in
-  let rec pick = function
-    | [] -> []
-    | vp :: rest ->
-      let set = Clusters.evict_set t.cl vp in
-      if List.exists (Sgx.Flat.mem t.in_fetch) set then pick rest
-      else List.filter (Pager.resident pager) set
-  in
-  pick candidates
+  match
+    Pager.find_oldest_resident pager 64 (fun vp ->
+        not (List.exists (Sgx.Flat.mem t.in_fetch) (Clusters.evict_set t.cl vp)))
+  with
+  | None -> []
+  | Some vp -> List.filter (Pager.resident pager) (Clusters.evict_set t.cl vp)
 
 let on_miss t vp _sf =
   let pager = Runtime.pager t.runtime in
   let fetch_set = Clusters.fetch_set t.cl vp in
   let need = List.filter (fun p -> not (Pager.resident pager p)) fetch_set in
   if List.length need > Pager.budget pager then
-    Sgx.Types.sgx_errorf
-      "cluster fetch set of %d pages exceeds the runtime budget of %d"
-      (List.length need) (Pager.budget pager);
+    (* Serving part of the set would break the residence invariant. *)
+    Sgx.Enclave.terminate (Runtime.enclave t.runtime)
+      ~reason:
+        (Printf.sprintf
+           "cluster fetch set of %d pages exceeds the runtime budget of %d"
+           (List.length need) (Pager.budget pager));
   (* Inlined emit: the thunk form would capture [need] and allocate a
      closure per miss even with tracing off. *)
   (match Sgx.Machine.tracer (Runtime.machine t.runtime) with
@@ -78,9 +78,9 @@ let on_miss t vp _sf =
 
 (* Ballooning: release whole clusters only — single-cluster eviction
    preserves the residence invariant.  Sustained pressure (a second and
-   further upcalls) also shrinks the pager budget toward [min_budget]
-   (which must stay above the largest cluster fetch set): degraded
-   cluster churn instead of a starvation termination. *)
+   further upcalls) also shrinks the pager budget toward [min_budget],
+   but never below the largest cluster fetch set, which must still fit:
+   degraded cluster churn instead of a starvation termination. *)
 let balloon t n =
   t.balloon_calls <- t.balloon_calls + 1;
   let pager = Runtime.pager t.runtime in
@@ -94,7 +94,8 @@ let balloon t n =
       released := !released + List.length vs
   done;
   if t.balloon_calls >= 2 then begin
-    let shrunk = max t.min_budget (Pager.budget pager - n) in
+    let floor = max t.min_budget (Clusters.largest_fetch_set t.cl) in
+    let shrunk = max floor (Pager.budget pager - n) in
     if shrunk < Pager.budget pager then begin
       Pager.set_budget pager shrunk;
       Metrics.Counters.cell_incr t.c_degraded;

@@ -6,7 +6,8 @@
     picks the FIFO-oldest resident page and evicts one whole cluster
     containing it — single-cluster eviction preserves the residence
     invariant; clusters overlapping the incoming fetch set are skipped as
-    victims. *)
+    victims.  A fetch set larger than the pager budget cannot be served
+    whole, so the enclave terminates. *)
 
 type t
 
@@ -16,8 +17,9 @@ val set_min_budget : t -> int -> unit
 (** The floor (default 32) the pager budget degrades toward under
     sustained memory-pressure upcalls: the first balloon call only
     evicts whole clusters; the second and further ones also shrink the
-    budget, counted in ["rt.policy_degraded"].  Keep it larger than the
-    biggest cluster fetch set. *)
+    budget, counted in ["rt.policy_degraded"].  The shrink also stops
+    at the largest cluster fetch set ({!Clusters.largest_fetch_set}), so
+    every fetch set still fits. *)
 
 val policy : t -> Runtime.policy
 val clusters : t -> Clusters.t

@@ -1,16 +1,16 @@
-(* ChaCha20 on unboxed native-int arithmetic.
+(* ChaCha20 on unboxed [Int64] arithmetic.
 
-   OCaml boxes [Int32] values, so the reference implementation
-   ({!Chacha20_ref}) allocates on essentially every state operation —
-   hundreds of short-lived boxes per 64-byte block.  Here every state
-   word is a native [int] kept in [0, 2^32) by masking with [mask32]
-   after each add/rotate (safe in 63-bit immediates), block input and
-   working state live in two preallocated 16-word arrays, the keystream
-   in a preallocated 64-byte buffer, and full blocks are XORed eight
-   bytes at a time through [Bytes.get_int64_le] (whose boxed
-   intermediates the compiler eliminates in straight-line chains).
-   Output is bit-identical to the reference; see test/test_crypto.ml
-   for the differential and RFC 8439 vector checks. *)
+   The sixteen state words are [ref]-bound [Int64] locals updated inside
+   one loop.  ocamlopt turns a local [ref] that never escapes into a
+   mutable variable and keeps a mutable [int64] variable unboxed, so the
+   state lives in registers (or stack slots) as raw 64-bit words.  Each
+   word is a 32-bit value zero-extended in its 64-bit lane: additions
+   are masked back to 32 bits, and a rotation shifts both ways and
+   masks.  The feed-forward add XORs each keystream word straight into
+   the output, so the only allocation is the output buffer.  Output is
+   bit-identical to the boxed reference {!Chacha20_ref}; see
+   test/test_crypto.ml for the differential and RFC 8439 vector
+   checks. *)
 
 type key = bytes
 type nonce = bytes
@@ -19,261 +19,122 @@ let key_of_string s =
   if String.length s = 0 then invalid_arg "Chacha20.key_of_string: empty";
   Bytes.init 32 (fun i -> s.[i mod String.length s])
 
-let mask32 = 0xFFFF_FFFF
-
-let[@inline] rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
-
 (* Unchecked little-endian word access.  Every offset below is derived
-   from a length validated on entry (key/nonce sizes, [n]-bounded block
-   loop), so the per-access bounds checks of the safe accessors are
-   pure overhead in the block loop.  The primitives are native-endian;
-   big-endian hosts take the safe byte-swapping accessors instead. *)
+   from a length validated on entry (key/nonce sizes, the output length
+   for the stores), so the safe accessors' bounds checks are pure
+   overhead.  The primitives are native-endian; big-endian hosts take
+   the safe byte-swapping accessors instead. *)
 external unsafe_get_32 : bytes -> int -> int32 = "%caml_bytes_get32u"
 external unsafe_set_32 : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-let be = Sys.big_endian
-
 let[@inline] get32 b off =
-  if be then Bytes.get_int32_le b off else unsafe_get_32 b off
+  if Sys.big_endian then Bytes.get_int32_le b off else unsafe_get_32 b off
 
 let[@inline] set32 b off v =
-  if be then Bytes.set_int32_le b off v else unsafe_set_32 b off v
+  if Sys.big_endian then Bytes.set_int32_le b off v else unsafe_set_32 b off v
 
-(* Scratch reused across calls, one copy per domain ([Domain.DLS]): the
-   parallel harness (lib/parallel) runs whole simulations on worker
-   domains, and module-level scratch shared between them would race.
-   One DLS lookup per [block]/[xor_stream] call is amortized over the
-   whole stream; the hot block loop sees the fetched record only.
+let mask = 0xFFFF_FFFFL
 
-   [input] holds the block input (key/counter/nonce words), [ks] one
-   keystream block.  [xoff] selects where the keystream block goes:
-   [xoff < 0] stores into [ks] (the [block] entry point and partial
-   tail blocks); [xoff >= 0] XORs the keystream straight into [xdst]
-   against [xsrc] at that byte offset — full blocks in [xor_stream]
-   never materialize the keystream. *)
-type scratch = {
-  input : int array;
-  ks : bytes;
-  mutable xsrc : bytes;
-  mutable xdst : bytes;
-  mutable xoff : int;
-}
+(* The 32-bit LE word at [off], zero-extended. *)
+let[@inline] word b off = Int64.logand (Int64.of_int32 (get32 b off)) mask
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { input = Array.make 16 0; ks = Bytes.create 64; xsrc = Bytes.empty;
-        xdst = Bytes.empty; xoff = -1 })
+let[@inline] add a b = Int64.logand (Int64.add a b) mask
 
-let[@inline] word b off = Int32.to_int (get32 b off) land mask32
+let[@inline] rotl x n =
+  Int64.logand
+    (Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (32 - n)))
+    mask
 
-let load_input sc ~key ~counter ~nonce =
+(* XOR keystream word [ks] into bytes [off, off + 4) of [out] against
+   [src], clipped to the first [n] bytes. *)
+let[@inline] put ~src ~out n off ks =
+  if off + 4 <= n then
+    set32 out off (Int32.logxor (get32 src off) (Int64.to_int32 ks))
+  else
+    for j = 0 to n - off - 1 do
+      Bytes.unsafe_set out (off + j)
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get src (off + j))
+           lxor ((Int64.to_int ks lsr (8 * j)) land 0xFF)))
+    done
+
+let xor_stream ~key ?(counter = 0l) ~nonce data =
   if Bytes.length key <> 32 then invalid_arg "Chacha20.block: key must be 32 bytes";
   if Bytes.length nonce <> 12 then
     invalid_arg "Chacha20.block: nonce must be 12 bytes";
-  let input = sc.input in
-  input.(0) <- 0x61707865;
-  input.(1) <- 0x3320646e;
-  input.(2) <- 0x79622d32;
-  input.(3) <- 0x6b206574;
-  for i = 0 to 7 do
-    input.(4 + i) <- word key (4 * i)
-  done;
-  input.(12) <- counter land mask32;
-  for i = 0 to 2 do
-    input.(13 + i) <- word nonce (4 * i)
-  done
-
-(* Ten double rounds with the sixteen state words threaded as
-   parameters of a recursive function: without flambda that is the only
-   way to keep them in registers — any array or record state costs a
-   memory round-trip per step, and an out-of-line quarter-round costs
-   80 calls per block.  At [n = 0] the feed-forward add against [input]
-   and the keystream store (or fused XOR) happen in one pass. *)
-let rec rounds sc n x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15 =
-  if n = 0 then begin
-    let input = sc.input in
-    let off = sc.xoff in
-    if off < 0 then begin
-      let ks = sc.ks in
-      let st i x =
-        set32 ks (4 * i)
-          (Int32.of_int ((x + Array.unsafe_get input i) land mask32))
-      in
-      st 0 x0; st 1 x1; st 2 x2; st 3 x3;
-      st 4 x4; st 5 x5; st 6 x6; st 7 x7;
-      st 8 x8; st 9 x9; st 10 x10; st 11 x11;
-      st 12 x12; st 13 x13; st 14 x14; st 15 x15
-    end
-    else begin
-      (* Written out (not a local [st] helper): a closure over
-         [src]/[dst]/[off] would heap-allocate once per block. *)
-      let src = sc.xsrc and dst = sc.xdst in
-      set32 dst off
-        (Int32.logxor (get32 src off) (Int32.of_int ((x0 + Array.unsafe_get input 0) land mask32)));
-      set32 dst (off + 4)
-        (Int32.logxor (get32 src (off + 4))
-           (Int32.of_int ((x1 + Array.unsafe_get input 1) land mask32)));
-      set32 dst (off + 8)
-        (Int32.logxor (get32 src (off + 8))
-           (Int32.of_int ((x2 + Array.unsafe_get input 2) land mask32)));
-      set32 dst (off + 12)
-        (Int32.logxor (get32 src (off + 12))
-           (Int32.of_int ((x3 + Array.unsafe_get input 3) land mask32)));
-      set32 dst (off + 16)
-        (Int32.logxor (get32 src (off + 16))
-           (Int32.of_int ((x4 + Array.unsafe_get input 4) land mask32)));
-      set32 dst (off + 20)
-        (Int32.logxor (get32 src (off + 20))
-           (Int32.of_int ((x5 + Array.unsafe_get input 5) land mask32)));
-      set32 dst (off + 24)
-        (Int32.logxor (get32 src (off + 24))
-           (Int32.of_int ((x6 + Array.unsafe_get input 6) land mask32)));
-      set32 dst (off + 28)
-        (Int32.logxor (get32 src (off + 28))
-           (Int32.of_int ((x7 + Array.unsafe_get input 7) land mask32)));
-      set32 dst (off + 32)
-        (Int32.logxor (get32 src (off + 32))
-           (Int32.of_int ((x8 + Array.unsafe_get input 8) land mask32)));
-      set32 dst (off + 36)
-        (Int32.logxor (get32 src (off + 36))
-           (Int32.of_int ((x9 + Array.unsafe_get input 9) land mask32)));
-      set32 dst (off + 40)
-        (Int32.logxor (get32 src (off + 40))
-           (Int32.of_int ((x10 + Array.unsafe_get input 10) land mask32)));
-      set32 dst (off + 44)
-        (Int32.logxor (get32 src (off + 44))
-           (Int32.of_int ((x11 + Array.unsafe_get input 11) land mask32)));
-      set32 dst (off + 48)
-        (Int32.logxor (get32 src (off + 48))
-           (Int32.of_int ((x12 + Array.unsafe_get input 12) land mask32)));
-      set32 dst (off + 52)
-        (Int32.logxor (get32 src (off + 52))
-           (Int32.of_int ((x13 + Array.unsafe_get input 13) land mask32)));
-      set32 dst (off + 56)
-        (Int32.logxor (get32 src (off + 56))
-           (Int32.of_int ((x14 + Array.unsafe_get input 14) land mask32)));
-      set32 dst (off + 60)
-        (Int32.logxor (get32 src (off + 60))
-           (Int32.of_int ((x15 + Array.unsafe_get input 15) land mask32)))
-    end
-  end
-  else begin
-    (* column round: QR(0,4,8,12) QR(1,5,9,13) QR(2,6,10,14) QR(3,7,11,15) *)
-    let x0 = (x0 + x4) land mask32 in
-    let x12 = rotl32 (x12 lxor x0) 16 in
-    let x8 = (x8 + x12) land mask32 in
-    let x4 = rotl32 (x4 lxor x8) 12 in
-    let x0 = (x0 + x4) land mask32 in
-    let x12 = rotl32 (x12 lxor x0) 8 in
-    let x8 = (x8 + x12) land mask32 in
-    let x4 = rotl32 (x4 lxor x8) 7 in
-    let x1 = (x1 + x5) land mask32 in
-    let x13 = rotl32 (x13 lxor x1) 16 in
-    let x9 = (x9 + x13) land mask32 in
-    let x5 = rotl32 (x5 lxor x9) 12 in
-    let x1 = (x1 + x5) land mask32 in
-    let x13 = rotl32 (x13 lxor x1) 8 in
-    let x9 = (x9 + x13) land mask32 in
-    let x5 = rotl32 (x5 lxor x9) 7 in
-    let x2 = (x2 + x6) land mask32 in
-    let x14 = rotl32 (x14 lxor x2) 16 in
-    let x10 = (x10 + x14) land mask32 in
-    let x6 = rotl32 (x6 lxor x10) 12 in
-    let x2 = (x2 + x6) land mask32 in
-    let x14 = rotl32 (x14 lxor x2) 8 in
-    let x10 = (x10 + x14) land mask32 in
-    let x6 = rotl32 (x6 lxor x10) 7 in
-    let x3 = (x3 + x7) land mask32 in
-    let x15 = rotl32 (x15 lxor x3) 16 in
-    let x11 = (x11 + x15) land mask32 in
-    let x7 = rotl32 (x7 lxor x11) 12 in
-    let x3 = (x3 + x7) land mask32 in
-    let x15 = rotl32 (x15 lxor x3) 8 in
-    let x11 = (x11 + x15) land mask32 in
-    let x7 = rotl32 (x7 lxor x11) 7 in
-    (* diagonal round: QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14) *)
-    let x0 = (x0 + x5) land mask32 in
-    let x15 = rotl32 (x15 lxor x0) 16 in
-    let x10 = (x10 + x15) land mask32 in
-    let x5 = rotl32 (x5 lxor x10) 12 in
-    let x0 = (x0 + x5) land mask32 in
-    let x15 = rotl32 (x15 lxor x0) 8 in
-    let x10 = (x10 + x15) land mask32 in
-    let x5 = rotl32 (x5 lxor x10) 7 in
-    let x1 = (x1 + x6) land mask32 in
-    let x12 = rotl32 (x12 lxor x1) 16 in
-    let x11 = (x11 + x12) land mask32 in
-    let x6 = rotl32 (x6 lxor x11) 12 in
-    let x1 = (x1 + x6) land mask32 in
-    let x12 = rotl32 (x12 lxor x1) 8 in
-    let x11 = (x11 + x12) land mask32 in
-    let x6 = rotl32 (x6 lxor x11) 7 in
-    let x2 = (x2 + x7) land mask32 in
-    let x13 = rotl32 (x13 lxor x2) 16 in
-    let x8 = (x8 + x13) land mask32 in
-    let x7 = rotl32 (x7 lxor x8) 12 in
-    let x2 = (x2 + x7) land mask32 in
-    let x13 = rotl32 (x13 lxor x2) 8 in
-    let x8 = (x8 + x13) land mask32 in
-    let x7 = rotl32 (x7 lxor x8) 7 in
-    let x3 = (x3 + x4) land mask32 in
-    let x14 = rotl32 (x14 lxor x3) 16 in
-    let x9 = (x9 + x14) land mask32 in
-    let x4 = rotl32 (x4 lxor x9) 12 in
-    let x3 = (x3 + x4) land mask32 in
-    let x14 = rotl32 (x14 lxor x3) 8 in
-    let x9 = (x9 + x14) land mask32 in
-    let x4 = rotl32 (x4 lxor x9) 7 in
-    rounds sc (n - 1) x0 x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x13 x14 x15
-  end
-
-(* Permute [sc.input] and emit the keystream block per [sc.xoff]. *)
-let block_into sc =
-  let g i = Array.unsafe_get sc.input i in
-  rounds sc 10 (g 0) (g 1) (g 2) (g 3) (g 4) (g 5) (g 6) (g 7) (g 8) (g 9) (g 10)
-    (g 11) (g 12) (g 13) (g 14) (g 15)
-
-let block ~key ~counter ~nonce =
-  let sc = Domain.DLS.get scratch_key in
-  load_input sc ~key ~counter:(Int32.to_int counter land mask32) ~nonce;
-  sc.xoff <- -1;
-  block_into sc;
-  Bytes.sub sc.ks 0 64
-
-let xor_stream ~key ?(counter = 0l) ~nonce data =
-  let sc = Domain.DLS.get scratch_key in
   let n = Bytes.length data in
   let out = Bytes.create n in
-  let c0 = Int32.to_int counter land mask32 in
-  load_input sc ~key ~counter:c0 ~nonce;
-  sc.xsrc <- data;
-  sc.xdst <- out;
-  let nblocks = (n + 63) / 64 in
-  for blk = 0 to nblocks - 1 do
-    sc.input.(12) <- (c0 + blk) land mask32;
+  let c0 = Int64.logand (Int64.of_int32 counter) mask in
+  let i4 = word key 0 and i5 = word key 4 and i6 = word key 8 in
+  let i7 = word key 12 and i8 = word key 16 and i9 = word key 20 in
+  let i10 = word key 24 and i11 = word key 28 in
+  let i13 = word nonce 0 and i14 = word nonce 4 and i15 = word nonce 8 in
+  for blk = 0 to ((n + 63) / 64) - 1 do
+    (* The block counter wraps at 2^32, as the reference's [Int32.add]. *)
+    let i12 = add c0 (Int64.of_int blk) in
+    let x0 = ref 0x61707865L and x1 = ref 0x3320646eL in
+    let x2 = ref 0x79622d32L and x3 = ref 0x6b206574L in
+    let x4 = ref i4 and x5 = ref i5 and x6 = ref i6 and x7 = ref i7 in
+    let x8 = ref i8 and x9 = ref i9 and x10 = ref i10 and x11 = ref i11 in
+    let x12 = ref i12 and x13 = ref i13 and x14 = ref i14 and x15 = ref i15 in
+    for _ = 1 to 10 do
+      (* column round: QR(0,4,8,12) QR(1,5,9,13) QR(2,6,10,14) QR(3,7,11,15) *)
+      x0 := add !x0 !x4; x12 := rotl (Int64.logxor !x12 !x0) 16;
+      x8 := add !x8 !x12; x4 := rotl (Int64.logxor !x4 !x8) 12;
+      x0 := add !x0 !x4; x12 := rotl (Int64.logxor !x12 !x0) 8;
+      x8 := add !x8 !x12; x4 := rotl (Int64.logxor !x4 !x8) 7;
+      x1 := add !x1 !x5; x13 := rotl (Int64.logxor !x13 !x1) 16;
+      x9 := add !x9 !x13; x5 := rotl (Int64.logxor !x5 !x9) 12;
+      x1 := add !x1 !x5; x13 := rotl (Int64.logxor !x13 !x1) 8;
+      x9 := add !x9 !x13; x5 := rotl (Int64.logxor !x5 !x9) 7;
+      x2 := add !x2 !x6; x14 := rotl (Int64.logxor !x14 !x2) 16;
+      x10 := add !x10 !x14; x6 := rotl (Int64.logxor !x6 !x10) 12;
+      x2 := add !x2 !x6; x14 := rotl (Int64.logxor !x14 !x2) 8;
+      x10 := add !x10 !x14; x6 := rotl (Int64.logxor !x6 !x10) 7;
+      x3 := add !x3 !x7; x15 := rotl (Int64.logxor !x15 !x3) 16;
+      x11 := add !x11 !x15; x7 := rotl (Int64.logxor !x7 !x11) 12;
+      x3 := add !x3 !x7; x15 := rotl (Int64.logxor !x15 !x3) 8;
+      x11 := add !x11 !x15; x7 := rotl (Int64.logxor !x7 !x11) 7;
+      (* diagonal round: QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14) *)
+      x0 := add !x0 !x5; x15 := rotl (Int64.logxor !x15 !x0) 16;
+      x10 := add !x10 !x15; x5 := rotl (Int64.logxor !x5 !x10) 12;
+      x0 := add !x0 !x5; x15 := rotl (Int64.logxor !x15 !x0) 8;
+      x10 := add !x10 !x15; x5 := rotl (Int64.logxor !x5 !x10) 7;
+      x1 := add !x1 !x6; x12 := rotl (Int64.logxor !x12 !x1) 16;
+      x11 := add !x11 !x12; x6 := rotl (Int64.logxor !x6 !x11) 12;
+      x1 := add !x1 !x6; x12 := rotl (Int64.logxor !x12 !x1) 8;
+      x11 := add !x11 !x12; x6 := rotl (Int64.logxor !x6 !x11) 7;
+      x2 := add !x2 !x7; x13 := rotl (Int64.logxor !x13 !x2) 16;
+      x8 := add !x8 !x13; x7 := rotl (Int64.logxor !x7 !x8) 12;
+      x2 := add !x2 !x7; x13 := rotl (Int64.logxor !x13 !x2) 8;
+      x8 := add !x8 !x13; x7 := rotl (Int64.logxor !x7 !x8) 7;
+      x3 := add !x3 !x4; x14 := rotl (Int64.logxor !x14 !x3) 16;
+      x9 := add !x9 !x14; x4 := rotl (Int64.logxor !x4 !x9) 12;
+      x3 := add !x3 !x4; x14 := rotl (Int64.logxor !x14 !x3) 8;
+      x9 := add !x9 !x14; x4 := rotl (Int64.logxor !x4 !x9) 7
+    done;
     let base = blk * 64 in
-    if n - base >= 64 then begin
-      (* Full block: the feed-forward store XORs straight into [out]. *)
-      sc.xoff <- base;
-      block_into sc
-    end
-    else begin
-      sc.xoff <- -1;
-      block_into sc;
-      let ks = sc.ks in
-      for i = 0 to n - base - 1 do
-        Bytes.set out (base + i)
-          (Char.chr
-             (Char.code (Bytes.get data (base + i)) lxor Char.code (Bytes.get ks i)))
-      done
-    end
+    put ~src:data ~out n base (Int64.add !x0 0x61707865L);
+    put ~src:data ~out n (base + 4) (Int64.add !x1 0x3320646eL);
+    put ~src:data ~out n (base + 8) (Int64.add !x2 0x79622d32L);
+    put ~src:data ~out n (base + 12) (Int64.add !x3 0x6b206574L);
+    put ~src:data ~out n (base + 16) (Int64.add !x4 i4);
+    put ~src:data ~out n (base + 20) (Int64.add !x5 i5);
+    put ~src:data ~out n (base + 24) (Int64.add !x6 i6);
+    put ~src:data ~out n (base + 28) (Int64.add !x7 i7);
+    put ~src:data ~out n (base + 32) (Int64.add !x8 i8);
+    put ~src:data ~out n (base + 36) (Int64.add !x9 i9);
+    put ~src:data ~out n (base + 40) (Int64.add !x10 i10);
+    put ~src:data ~out n (base + 44) (Int64.add !x11 i11);
+    put ~src:data ~out n (base + 48) (Int64.add !x12 i12);
+    put ~src:data ~out n (base + 52) (Int64.add !x13 i13);
+    put ~src:data ~out n (base + 56) (Int64.add !x14 i14);
+    put ~src:data ~out n (base + 60) (Int64.add !x15 i15)
   done;
-  (* Drop the buffer references so scratch state never retains caller
-     data across calls. *)
-  sc.xsrc <- Bytes.empty;
-  sc.xdst <- Bytes.empty;
-  sc.xoff <- -1;
   out
+
+(* The keystream block is the encryption of 64 zero bytes. *)
+let block ~key ~counter ~nonce = xor_stream ~key ~counter ~nonce (Bytes.make 64 '\000')
 
 let selftest () =
   (* RFC 8439 §2.3.2 block-function test vector. *)

@@ -4,9 +4,9 @@
     for swapped-out page contents.  Pure OCaml, constant-shape (no
     data-dependent branches on key or plaintext).
 
-    Implemented on unboxed native-int arithmetic with preallocated
-    state and keystream scratch; bit-identical to the boxed reference
-    in {!Chacha20_ref}. *)
+    The state words live in unboxed [Int64] locals, so a call allocates
+    only the bytes it returns; bit-identical to the boxed reference in
+    {!Chacha20_ref}. *)
 
 type key = bytes
 (** 32-byte key. *)
@@ -19,12 +19,14 @@ val key_of_string : string -> key
     convenient for tests. Raises [Invalid_argument] on the empty string. *)
 
 val block : key:key -> counter:int32 -> nonce:nonce -> bytes
-(** One 64-byte keystream block. *)
+(** One 64-byte keystream block.  Raises [Invalid_argument] unless the
+    key is 32 bytes and the nonce 12. *)
 
 val xor_stream : key:key -> ?counter:int32 -> nonce:nonce -> bytes -> bytes
 (** Encrypt/decrypt: XOR the input with the keystream starting at
-    [counter] (default 0). Encryption and decryption are the same
-    operation. *)
+    [counter] (default 0); the 32-bit block counter wraps past
+    [0xFFFFFFFF].  Encryption and decryption are the same operation.
+    Raises [Invalid_argument] as {!block} does. *)
 
 val selftest : unit -> bool
 (** Checks the RFC 8439 §2.3.2 test vector. *)

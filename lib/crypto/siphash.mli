@@ -3,12 +3,12 @@
     Used by the page sealer to authenticate swapped-out page contents,
     standing in for the GCM/integrity-tree MACs of real SGX.
 
-    Implemented on unboxed native-int arithmetic (32-bit lane halves);
-    bit-identical to the boxed reference in {!Siphash_ref}. *)
+    The state lanes live in unboxed [Int64] locals, so [hash] allocates
+    only the digest it returns; bit-identical to the boxed reference in
+    {!Siphash_ref}. *)
 
 type key
-(** Expanded 128-bit key.  Abstract: the internal representation is a
-    pair of 64-bit lanes split into native-int halves. *)
+(** Expanded 128-bit key: two 64-bit little-endian words. *)
 
 val key_of_bytes : bytes -> key
 (** First 16 bytes of the argument, little-endian. Raises

@@ -72,20 +72,78 @@ let test_chacha_rfc8439_encryption () =
   let ct = Sim_crypto.Chacha20.xor_stream ~key ~counter:1l ~nonce plaintext in
   checkb "RFC 8439 §2.4.2 ciphertext" true (Bytes.equal ct expected)
 
+(* Lengths for the differential checks: every length up to 300 bytes
+   (all residues around the first few block and word boundaries), then
+   the sealer's larger inputs: a 4 KiB page, its MAC input (page plus
+   the 16-byte vaddr/version trailer) and a 64 KiB snapshot chunk's MAC
+   input. *)
+let diff_lengths = List.init 301 Fun.id @ [ 4096; 4112; 65552 ]
+
+let random_bytes rng n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256))
+
 let test_chacha_matches_reference () =
   (* Differential: the unboxed implementation is bit-identical to the
-     boxed reference at every length straddling the block boundaries. *)
+     boxed reference on random keys and nonces at every length, from
+     counters where the 32-bit block counter wraps mid-stream. *)
   let rng = Random.State.make [| 0x5eed |] in
-  let k = Bytes.init 32 (fun _ -> Char.chr (Random.State.int rng 256)) in
-  for len = 0 to 200 do
-    let pt = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
-    let a = Sim_crypto.Chacha20.xor_stream ~key:k ~counter:7l ~nonce pt in
-    let b = Sim_crypto.Chacha20_ref.xor_stream ~key:k ~counter:7l ~nonce pt in
-    checkb (Printf.sprintf "xor_stream len %d" len) true (Bytes.equal a b)
-  done;
-  let blk_a = Sim_crypto.Chacha20.block ~key:k ~counter:0xFFFFFFFFl ~nonce in
-  let blk_b = Sim_crypto.Chacha20_ref.block ~key:k ~counter:0xFFFFFFFFl ~nonce in
-  checkb "block at counter 2^32-1" true (Bytes.equal blk_a blk_b)
+  List.iter
+    (fun counter ->
+      List.iter
+        (fun len ->
+          let k = random_bytes rng 32 and nonce = random_bytes rng 12 in
+          let pt = random_bytes rng len in
+          let a = Sim_crypto.Chacha20.xor_stream ~key:k ~counter ~nonce pt in
+          let b = Sim_crypto.Chacha20_ref.xor_stream ~key:k ~counter ~nonce pt in
+          checkb
+            (Printf.sprintf "xor_stream counter %lx len %d" counter len)
+            true (Bytes.equal a b))
+        diff_lengths)
+    [ 7l; 0xFFFFFFFEl; 0xFFFFFFFFl ];
+  List.iter
+    (fun counter ->
+      let k = random_bytes rng 32 and nonce = random_bytes rng 12 in
+      checkb
+        (Printf.sprintf "block at counter %lx" counter)
+        true
+        (Bytes.equal
+           (Sim_crypto.Chacha20.block ~key:k ~counter ~nonce)
+           (Sim_crypto.Chacha20_ref.block ~key:k ~counter ~nonce)))
+    [ 0l; 1l; 0x7FFFFFFFl; 0x80000000l; 0xFFFFFFFFl ]
+
+(* Words allocated by [f ()], minor and major heap together.  The minor
+   collection first keeps [f] from triggering one, whose promotions
+   would count as major allocation. *)
+let words_allocated f =
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0)
+
+(* The allocation checks hold for native code only: bytecode boxes
+   every [Int64] intermediate. *)
+let native = Sys.backend_type = Sys.Native
+
+let test_chacha_allocates_only_output () =
+  (* A loop that re-boxes its state allocates per block, so the words
+     allocated beyond the output buffer would grow with the length.  The
+     buffer is measured the same way, so whatever heap it lands in
+     cancels out. *)
+  if native then begin
+    let k = Bytes.init 32 Char.chr in
+    let extra len =
+      let pt = Bytes.make len 'p' in
+      words_allocated (fun () ->
+          ignore
+            (Sys.opaque_identity
+               (Sim_crypto.Chacha20.xor_stream ~key:k ~counter:9l ~nonce pt)))
+      -. words_allocated (fun () -> ignore (Sys.opaque_identity (Bytes.create len)))
+    in
+    Alcotest.(check (float 0.)) "same words beyond the output at 64 B and 4 KiB"
+      (extra 64) (extra 4096)
+  end
 
 (* --- SipHash ---------------------------------------------------------- *)
 
@@ -144,20 +202,36 @@ let test_siphash_reference_vectors () =
     vectors
 
 let test_siphash_matches_reference () =
-  (* Differential: unboxed halves vs boxed Int64 reference at every
-     residue mod 8 and on random keys/data. *)
+  (* Differential: unboxed lanes vs the boxed Int64 reference on random
+     keys at every length up to 300 bytes and at the sealer's MAC input
+     sizes (page + 16-byte trailer, snapshot chunk + trailer). *)
   let rng = Random.State.make [| 0xcafe |] in
-  for _ = 1 to 50 do
-    let kb = Bytes.init 16 (fun _ -> Char.chr (Random.State.int rng 256)) in
-    let k = Sim_crypto.Siphash.key_of_bytes kb in
-    let k_ref = Sim_crypto.Siphash_ref.key_of_bytes kb in
-    let len = Random.State.int rng 64 in
-    let msg = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
-    Alcotest.(check int64)
-      (Printf.sprintf "hash len %d" len)
-      (Sim_crypto.Siphash_ref.hash k_ref msg)
-      (Sim_crypto.Siphash.hash k msg)
-  done
+  List.iter
+    (fun len ->
+      let kb = random_bytes rng 16 in
+      let msg = random_bytes rng len in
+      Alcotest.(check int64)
+        (Printf.sprintf "hash len %d" len)
+        (Sim_crypto.Siphash_ref.hash (Sim_crypto.Siphash_ref.key_of_bytes kb) msg)
+        (Sim_crypto.Siphash.hash (Sim_crypto.Siphash.key_of_bytes kb) msg))
+    diff_lengths
+
+let test_siphash_allocates_only_digest () =
+  if native then begin
+    let k = Sim_crypto.Siphash.key_of_bytes (Bytes.init 16 Char.chr) in
+    let boxed_int64 = 1 + Obj.size (Obj.repr (Sys.opaque_identity 1L)) in
+    List.iter
+      (fun len ->
+        let msg = Bytes.make len 'm' in
+        let w =
+          words_allocated (fun () ->
+              ignore (Sys.opaque_identity (Sim_crypto.Siphash.hash k msg)))
+        in
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "hash of %d bytes allocates one boxed int64" len)
+          (float_of_int boxed_int64) w)
+      [ 0; 80; 4112 ]
+  end
 
 (* --- Sealer ----------------------------------------------------------- *)
 
@@ -303,6 +377,17 @@ let qcheck_cases =
           let pt = Bytes.of_string s in
           let ct = Sim_crypto.Chacha20.xor_stream ~key ~nonce pt in
           Bytes.equal (Sim_crypto.Chacha20.xor_stream ~key ~nonce ct) pt);
+      QCheck2.Test.make ~name:"chacha matches reference on random inputs"
+        ~count:200
+        QCheck2.Gen.(
+          quad (string_size (return 32)) (string_size (return 12)) int32
+            (string_size (int_range 0 300)))
+        (fun (k, n, counter, s) ->
+          let key = Bytes.of_string k and nonce = Bytes.of_string n in
+          let pt = Bytes.of_string s in
+          Bytes.equal
+            (Sim_crypto.Chacha20.xor_stream ~key ~counter ~nonce pt)
+            (Sim_crypto.Chacha20_ref.xor_stream ~key ~counter ~nonce pt));
       QCheck2.Test.make ~name:"sealer roundtrip on random pages" ~count:100
         QCheck2.Gen.(pair (string_size (int_range 1 200)) (int_range 0 1_000_000))
         (fun (s, v) ->
@@ -336,9 +421,11 @@ let suite =
     ("chacha key validation", `Quick, test_chacha_key_validation);
     ("chacha RFC 8439 encryption vector", `Quick, test_chacha_rfc8439_encryption);
     ("chacha matches reference", `Quick, test_chacha_matches_reference);
+    ("chacha allocates only its output", `Quick, test_chacha_allocates_only_output);
     ("siphash selftest", `Quick, test_siphash_selftest);
     ("siphash reference vectors", `Quick, test_siphash_reference_vectors);
     ("siphash matches reference", `Quick, test_siphash_matches_reference);
+    ("siphash allocates only its digest", `Quick, test_siphash_allocates_only_digest);
     ("siphash keyed", `Quick, test_siphash_keyed);
     ("siphash message sensitivity", `Quick, test_siphash_message_sensitivity);
     ("siphash all lengths", `Quick, test_siphash_lengths);

@@ -127,6 +127,59 @@ let test_balloon_after_release_refetch_works () =
   List.iter (fun p -> vm.Workloads.Vm.read (p * page)) pages;
   checki "all back" 48 (Autarky.Pager.resident_count (Autarky.Runtime.pager rt))
 
+(* 100 heap pages in 10-page clusters under the clusters policy, budget
+   64, with the first four clusters chained through shared pages into
+   one 40-page fetch set.  Every page has been touched once. *)
+let linked_component_system () =
+  let sys = Helpers.autarky_system ~budget:64 () in
+  let rt = Harness.System.runtime_exn sys in
+  let heap = Harness.System.allocator sys ~pages:100 ~cluster_pages:10 in
+  let pages = List.init 100 (fun _ -> Autarky.Allocator.alloc_page heap) in
+  let clusters = Autarky.Allocator.clusters heap in
+  for c = 0 to 2 do
+    let next = List.nth pages ((c + 1) * 10) in
+    List.iter
+      (fun id -> Autarky.Clusters.ay_add_page clusters ~cluster:id next)
+      (Autarky.Clusters.ay_get_cluster_ids clusters (List.nth pages (c * 10)))
+  done;
+  checki "one 40-page fetch set" 40
+    (List.length (Autarky.Clusters.fetch_set clusters (List.hd pages)));
+  checki "largest fetch set" 40 (Autarky.Clusters.largest_fetch_set clusters);
+  Harness.System.manage sys pages;
+  let pc = Autarky.Policy_clusters.create ~runtime:rt ~clusters in
+  Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
+  let vm = Harness.System.vm sys () in
+  let touch = List.iter (fun p -> vm.Workloads.Vm.read (p * page)) in
+  touch pages;
+  (sys, Autarky.Runtime.pager rt, List.filteri (fun i _ -> i < 40) pages, touch)
+
+let test_balloon_storm_keeps_largest_fetch_set () =
+  (* Two 100-page balloon upcalls drive the degrade shrink toward the
+     32-page floor; it must stop at the 40-page fetch set, so the next
+     access to the linked component is served (or ends in a modeled
+     termination) instead of raising [Sgx_error] out of the handler. *)
+  let sys, pager, linked, touch = linked_component_system () in
+  for _ = 1 to 2 do
+    ignore
+      (Sim_os.Kernel.request_balloon (Harness.System.os sys)
+         (Harness.System.proc sys) ~pages:100)
+  done;
+  checki "budget stops at the largest fetch set" 40 (Autarky.Pager.budget pager);
+  match touch linked with
+  | () ->
+    checkb "linked component resident" true
+      (List.for_all (Autarky.Pager.resident pager) linked)
+  | exception Sgx.Types.Enclave_terminated _ -> ()
+
+let test_fetch_set_over_budget_terminates () =
+  (* A fetch set that cannot fit the budget is a modeled termination. *)
+  let _sys, pager, linked, touch = linked_component_system () in
+  Autarky.Pager.evict pager linked;
+  Autarky.Pager.set_budget pager 30;
+  match touch linked with
+  | () -> Alcotest.fail "a 40-page fetch set was served under a 30-page budget"
+  | exception Sgx.Types.Enclave_terminated _ -> ()
+
 (* --- Multi-enclave ------------------------------------------------------- *)
 
 let two_enclaves () =
@@ -301,6 +354,10 @@ let suite =
     ("balloon: pinned refuses", `Quick, test_balloon_pinned_refuses);
     ("balloon: clusters whole clusters", `Quick, test_balloon_clusters_whole_clusters);
     ("balloon: refetch after release", `Quick, test_balloon_after_release_refetch_works);
+    ("balloon: storm keeps the largest fetch set", `Quick,
+     test_balloon_storm_keeps_largest_fetch_set);
+    ("clusters: fetch set over budget terminates", `Quick,
+     test_fetch_set_over_budget_terminates);
     ("multi-enclave static partitioning", `Quick, test_static_partitioning_isolation);
     ("multi-enclave global reclaim", `Quick, test_reclaim_global);
     ("restart monitor: normal lifecycle", `Quick,

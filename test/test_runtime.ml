@@ -113,7 +113,18 @@ let test_pager_make_room_fifo () =
   checkb "fifo order" true
     (List.for_all
        (fun p -> not (Autarky.Pager.resident pager p))
-       (List.filteri (fun i _ -> i < 8) pages))
+       (List.filteri (fun i _ -> i < 8) pages));
+  (* The early-exit walk picks what a scan of the candidate list would,
+     past dead ring entries at the front and in the middle. *)
+  Autarky.Pager.evict pager [ List.nth pages 13 ];
+  List.iter
+    (fun (n, accept) ->
+      checkb "find_oldest_resident = first accepted of oldest_residents" true
+        (Autarky.Pager.find_oldest_resident pager n accept
+        = List.find_opt accept (Autarky.Pager.oldest_residents pager n)))
+    [ (0, fun _ -> true); (1, fun _ -> true); (8, fun p -> p land 3 = 0);
+      (8, fun p -> p > List.nth pages 20); (64, fun p -> p > List.nth pages 20);
+      (64, fun _ -> false) ]
 
 (* --- Runtime fault classification -------------------------------------- *)
 
