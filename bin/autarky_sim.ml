@@ -647,17 +647,28 @@ let perf_cmd =
 
 (* --- serve ----------------------------------------------------------------- *)
 
+(* Sizes that must be at least one: a non-positive value is a usage
+   error (exit 124), not an exception out of the driver. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let serve_cmd =
   let doc =
-    "Run the multi-tenant serving benchmark: three enclave tenants \
-     (kvstore/clusters, spellcheck/ORAM, uthash/rate-limit) served in \
-     virtual time on one machine, with bounded admission queues, an EPC \
-     arbiter rebalancing vEPC between tenant VMs, and a deterministic \
-     autarky-serve/1 SLO report."
+    "Run the multi-tenant serving benchmark: enclave tenants served in \
+     virtual time on one machine, with bounded admission queues and an \
+     EPC arbiter rebalancing vEPC between tenant VMs, and print (or \
+     write) a deterministic autarky-serve/3 SLO report.  Without \
+     $(b,--tenants) the scenario is three tenants (kvstore/clusters, \
+     spellcheck/ORAM, uthash/rate-limit overloaded)."
   in
   let quick_arg =
     let doc =
-      "CI smoke mode: quarter-length request streams; no JSON file unless \
+      "CI smoke mode: shorter request streams; no JSON file unless \
        $(b,--out) is given."
     in
     Arg.(value & flag & info [ "quick" ] ~doc)
@@ -674,39 +685,36 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"FILE")
   in
-  let fleet_arg =
+  let members_arg =
     let doc =
-      "Fleet mode: run $(docv) independent members of the default scenario \
-       (member seeds split deterministically from $(b,--seed)) across \
-       $(b,--jobs) domains and merge their SLO reports.  With $(b,--out), \
-       writes autarky-fleet/2 instead of autarky-serve/1."
+      "Run $(docv) independent members of the scenario, each on its own \
+       machine: member 0 at $(b,--seed), the others at seeds split \
+       deterministically from it.  The report pools every member's rows."
     in
-    Arg.(value & opt (some int) None & info [ "fleet" ] ~doc ~docv:"K")
+    Arg.(value & opt pos_int 1 & info [ "members" ] ~doc ~docv:"K")
   in
   let tenants_arg =
     let doc =
-      "Fleet-scale mode: pack $(docv) tenants (fixed mix of open-loop, \
-       heavy-tailed, diurnal, closed-loop and overloaded classes, with \
-       churn joins and departures) onto one machine with Metrics.Sketch \
-       latency accounting, and write/print the autarky-serve/2 report.  \
-       Byte-identical at any $(b,--jobs)."
+      "Use the fleet scenario: pack $(docv) tenants (fixed mix of \
+       open-loop, heavy-tailed, diurnal, closed-loop and overloaded \
+       classes, with churn joins and departures) onto each member's \
+       machine."
     in
-    Arg.(value & opt (some int) None & info [ "tenants" ] ~doc ~docv:"N")
+    Arg.(value & opt (some pos_int) None & info [ "tenants" ] ~doc ~docv:"N")
   in
-  let sketch_arg =
+  let jobs_arg =
     let doc =
-      "With $(b,--fleet): run every member with streaming-sketch latency \
-       accounting, upgrading the roll-up from worst-of-shards to a \
-       pooled-sketch merge."
+      "Worker domains the members shard over.  Changes wall-clock only: \
+       the report is identical at any job count."
     in
-    Arg.(value & flag & info [ "sketch" ] ~doc)
+    Arg.(value & opt pos_int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
   in
   let check_arg =
     let doc =
-      "Regression gate: validate the committed autarky-serve/2 baseline \
-       $(docv) (schema, exact arrival conservation), re-run the \
-       fleet-scale scenario in quick mode at the baseline's (seed, \
-       tenants), and fail if any intensive metric (fleet p50/p95/p99/mean \
+      "Regression gate: validate the committed autarky-serve/3 baseline \
+       $(docv) (schema, sizes, exact arrival conservation), re-run its \
+       scenario in quick mode at the baseline's seed, tenants and \
+       members, and fail if any intensive metric (fleet p50/p95/p99/mean \
        latency, shed rate) drifts more than $(b,--tolerance)."
     in
     Arg.(value & opt (some string) None & info [ "check" ] ~doc ~docv:"FILE")
@@ -715,32 +723,34 @@ let serve_cmd =
     let doc = "Allowed relative drift per metric with $(b,--check)." in
     Arg.(value & opt float 0.25 & info [ "tolerance" ] ~doc ~docv:"T")
   in
-  let run quick no_arbiter out seed fleet tenants sketch check tolerance jobs =
-    match (check, tenants, fleet) with
-    | Some baseline, _, _ ->
+  let run quick no_arbiter out seed members tenants check tolerance jobs =
+    match check with
+    | Some baseline ->
       if not (Serve.Driver.check ~baseline ~tolerance ~jobs ()) then exit 1
-    | None, Some tenants, _ ->
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_serve.json"
-        | None, true -> None
+    | None ->
+      let scenario, cfgs =
+        match tenants with
+        | None -> (Serve.Driver.Default, Serve.Driver.default_scenario ~quick)
+        | Some tenants ->
+          (Serve.Driver.Fleet, Serve.Driver.fleet_scenario ~tenants ~quick)
       in
-      ignore (Serve.Driver.run_fleet_scale ~quick ~seed ~tenants ~jobs ?out ())
-    | None, None, Some members ->
+      (* Only a full fleet run defaults to the committed baseline file, so
+         a quick or three-tenant run cannot clobber it. *)
+      let out =
+        match (out, tenants, quick) with
+        | Some f, _, _ -> Some f
+        | None, Some _, false -> Some "BENCH_serve.json"
+        | None, _, _ -> None
+      in
       ignore
-        (Serve.Driver.fleet ~quick ~seed ~members ~jobs ~no_arbiter ~sketch
-           ?out ())
-    | None, None, None ->
-      (* The committed BENCH_serve.json is the fleet-scale serve/2
-         baseline (--tenants); the legacy 3-tenant run only writes a
-         file when asked, so it cannot clobber the baseline. *)
-      ignore (Serve.Driver.run ~quick ~seed ~no_arbiter ?out ())
+        (Serve.Driver.run ~members ~jobs ?out ~scenario ~quick
+           ~params:(Serve.Driver.params ~seed ~no_arbiter)
+           cfgs)
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ quick_arg $ no_arbiter_arg $ out_arg $ seed_arg $ fleet_arg
-      $ tenants_arg $ sketch_arg $ check_arg $ tolerance_arg $ jobs_arg)
+      const run $ quick_arg $ no_arbiter_arg $ out_arg $ seed_arg $ members_arg
+      $ tenants_arg $ check_arg $ tolerance_arg $ jobs_arg)
 
 (* --- bench-validate -------------------------------------------------------- *)
 

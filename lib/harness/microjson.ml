@@ -173,6 +173,12 @@ let mem_exn ~ctx key j =
 
 let str ~ctx = function Str s -> s | _ -> fail "%s: expected string" ctx
 let num ~ctx = function Num f -> f | _ -> fail "%s: expected number" ctx
-let int_ ~ctx j = int_of_float (num ~ctx j)
+(* Exact integers only: a fractional or out-of-range count in a
+   baseline is malformed input, not something to truncate. *)
+let int_ ~ctx j =
+  let f = num ~ctx j in
+  let bound = -.Float.of_int min_int (* 2^62, just above max_int *) in
+  if Float.is_integer f && f >= -.bound && f < bound then int_of_float f
+  else fail "%s: expected an integer, got %g" ctx f
 let bool_ ~ctx = function Bool b -> b | _ -> fail "%s: expected bool" ctx
 let arr ~ctx = function Arr l -> l | _ -> fail "%s: expected array" ctx

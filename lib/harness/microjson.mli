@@ -1,5 +1,5 @@
 (** Minimal JSON reader for the repo's own report files
-    (["autarky-perf/1"], ["autarky-serve/1"]).
+    ([BENCH_*.json]).
 
     The pinned dependency set (autarky.opam) carries no JSON library;
     this covers exactly the grammar our writers emit.  Not a general
@@ -31,4 +31,5 @@ val int_ : ctx:string -> t -> int
 val bool_ : ctx:string -> t -> bool
 val arr : ctx:string -> t -> t list
 (** Typed projections; @raise Parse_error (mentioning [ctx]) on shape
-    mismatch. *)
+    mismatch.  [int_] also rejects a number that is not integral or
+    lies outside the native [int] range. *)

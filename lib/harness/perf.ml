@@ -459,10 +459,15 @@ let drift ~base ~cur =
   if base = 0.0 then (if cur = 0.0 then 0.0 else infinity)
   else Float.abs (cur -. base) /. Float.abs base
 
-let check ~baseline ?against ?(tolerance = 0.25) ?wall_ceiling_ns ?alloc_ceiling
-    ?(jobs = 1) () =
+(* The two sides of the gate: the baseline's cells, and the current
+   cells with their label.  Unreadable or malformed input raises
+   [Failure], [Microjson.Parse_error] or [Sys_error]. *)
+let gate_inputs ~baseline ?against ~jobs () =
   let load path =
-    let j = Microjson.of_file path in
+    let j =
+      try Microjson.of_file path
+      with Microjson.Parse_error m -> failwith (path ^ ": parse error: " ^ m)
+    in
     (match Microjson.(member "schema" j) with
     | Some (Microjson.Str "autarky-perf/2") -> ()
     | _ -> failwith (path ^ ": not an autarky-perf/2 report"));
@@ -485,6 +490,10 @@ let check ~baseline ?against ?(tolerance = 0.25) ?wall_ceiling_ns ?alloc_ceiling
         seed baseline;
       (gate_cells_of_rows (matrix_section ~quick ~seed ~jobs), "this run")
   in
+  (base, cur, cur_label)
+
+let compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling base cur
+    cur_label =
   let assoc cells = List.map (fun c -> (c.g_key, c)) cells in
   let base_a = assoc base and cur_a = assoc cur in
   let failures = ref [] in
@@ -567,3 +576,13 @@ let check ~baseline ?against ?(tolerance = 0.25) ?wall_ceiling_ns ?alloc_ceiling
     List.iter (fun m -> Printf.printf "  - %s\n" m) (List.rev !failures)
   end;
   ok
+
+let check ~baseline ?against ?(tolerance = 0.25) ?wall_ceiling_ns ?alloc_ceiling
+    ?(jobs = 1) () =
+  match gate_inputs ~baseline ?against ~jobs () with
+  | exception (Failure m | Microjson.Parse_error m | Sys_error m) ->
+    Printf.printf "perf: CHECK FAILED: %s\n" m;
+    false
+  | base, cur, cur_label ->
+    compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling base cur
+      cur_label

@@ -79,5 +79,6 @@ val check :
     absolute bound locking in the flat-core speedup), and
     [alloc_ceiling] fails the run when the current matrix's *median*
     allocated bytes/access exceeds it.  Prints a verdict table; returns
-    whether every cell passed.
-    @raise Failure / {!Microjson.Parse_error} on unreadable input. *)
+    whether every cell passed.  An unreadable, malformed or non-perf
+    input file prints one [CHECK FAILED] line and returns [false]; it
+    never raises. *)

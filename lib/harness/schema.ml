@@ -37,61 +37,30 @@ let known =
                 ] );
           ];
       } );
-    ( "autarky-serve/1",
+    ( "autarky-serve/3",
       {
         required =
           [
-            ("quick", Bool);
-            ("seed", Num);
-            ("end_cycle", Num);
-            ("virtual_seconds", Num);
-            ("arbiter_moves", Num);
-            ( "tenants",
-              Rows
-                [
-                  "name"; "workload"; "policy"; "generator"; "arrivals";
-                  "served"; "shed"; "deadline_missed"; "terminations";
-                  "restarts"; "refused"; "faults"; "svc_mean_cycles";
-                  "throughput_rps"; "shed_rate"; "latency_cycles";
-                ] );
-          ];
-      } );
-    ( "autarky-serve/2",
-      {
-        required =
-          [
+            ("scenario", Str);
             ("quick", Bool);
             ("seed", Num);
             ("tenants_n", Num);
-            ("end_cycle", Num);
-            ("virtual_seconds", Num);
-            ("arbiter_moves", Num);
+            ( "members",
+              Rows
+                [
+                  "member"; "seed"; "end_cycle"; "virtual_seconds";
+                  "arbiter_moves";
+                ] );
             ("totals", Obj);
             ("fleet_latency", Obj);
             ( "tenants",
               Rows
                 [
-                  "name"; "workload"; "policy"; "generator"; "arrivals";
-                  "served"; "shed"; "deadline_missed"; "terminations";
-                  "restarts"; "refused"; "departed"; "arrive_after";
-                  "depart_after"; "boot_cycles"; "faults"; "svc_mean_cycles";
-                  "throughput_rps"; "shed_rate"; "latency_method";
-                  "latency_cycles";
-                ] );
-          ];
-      } );
-    ( "autarky-fleet/2",
-      {
-        required =
-          [
-            ("quick", Bool);
-            ("root_seed", Num);
-            ("members", Rows [ "shard"; "seed"; "end_cycle"; "arbiter_moves" ]);
-            ( "tenants",
-              Rows
-                [
-                  "name"; "workload"; "policy"; "arrivals"; "served"; "shed";
-                  "deadline_missed"; "throughput_rps"; "latency_merge";
+                  "member"; "name"; "workload"; "policy"; "generator";
+                  "arrivals"; "served"; "shed"; "deadline_missed";
+                  "terminations"; "restarts"; "refused"; "departed";
+                  "arrive_after"; "depart_after"; "boot_cycles"; "faults";
+                  "svc_mean_cycles"; "throughput_rps"; "shed_rate";
                   "latency_cycles";
                 ] );
           ];

@@ -2,7 +2,7 @@
     ([BENCH_*.json]).
 
     Every report writer in the tree stamps a ["schema"] field
-    (["autarky-perf/2"], ["autarky-serve/2"], ...).  This module holds
+    (["autarky-perf/2"], ["autarky-serve/3"], ...).  This module holds
     the registry of known schemas — which top-level fields each must
     carry, with what JSON shape, and which keys every row of its array
     fields must have — and validates a parsed document against it.

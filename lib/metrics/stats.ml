@@ -84,27 +84,6 @@ let merged ts =
   List.iter (fun t -> merge_into ~into:out t) ts;
   out
 
-(* Summary-level merge for shards whose raw samples are gone (e.g. the
-   serve fleet, which only keeps per-member SLO summaries).  Exact for
-   count/mean/max; percentiles cannot be reconstructed from summaries,
-   so we take the component-wise worst (max) across members — "no
-   member's p99 exceeded X", the conservative SLO read.  Empty input
-   and zero-count members yield/contribute zeros. *)
-let merge_summaries ss =
-  let total = List.fold_left (fun n s -> n + s.s_count) 0 ss in
-  if total = 0 then
-    { s_count = 0; s_mean = 0.0; s_p50 = 0.0; s_p95 = 0.0; s_p99 = 0.0;
-      s_max = 0.0 }
-  else
-    let wmean =
-      List.fold_left (fun a s -> a +. (s.s_mean *. float_of_int s.s_count)) 0.0 ss
-      /. float_of_int total
-    in
-    let worst f = List.fold_left (fun a s -> Float.max a (f s)) 0.0 ss in
-    { s_count = total; s_mean = wmean; s_p50 = worst (fun s -> s.s_p50);
-      s_p95 = worst (fun s -> s.s_p95); s_p99 = worst (fun s -> s.s_p99);
-      s_max = worst (fun s -> s.s_max) }
-
 let geomean values =
   match values with
   | [] -> invalid_arg "Stats.geomean: empty"

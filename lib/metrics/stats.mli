@@ -43,22 +43,6 @@ val merge_into : into:t -> t -> unit
 val merged : t list -> t
 (** Fresh accumulator over the union of all inputs' samples. *)
 
-val merge_summaries : summary list -> summary
-(** Merge per-shard summaries when the raw samples are no longer
-    available: counts are summed, the mean is count-weighted, and each
-    percentile/max is the component-wise worst (maximum) across inputs
-    — a conservative tail bound ("no shard's p99 exceeded the merged
-    p99"), not the percentile of the pooled samples.  Empty list (or
-    all-empty summaries) yields the all-zero summary.
-
-    Reports built from this merge must label the percentiles as
-    worst-of-shards, not pooled — a shard with 10 slow requests can
-    dominate the "merged p50" of a million fast ones.  When the shards
-    still hold their sample streams, prefer {!Sketch.merge_into}: a
-    pooled-sketch merge is exact bucket addition and its percentiles
-    describe the pooled distribution (within {!Sketch.relative_error}).
-    [Serve.Driver] does exactly that for fleet roll-ups. *)
-
 val geomean : float list -> float
 (** Geometric mean of positive values; raises [Invalid_argument] on an
     empty list or non-positive values. *)

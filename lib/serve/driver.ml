@@ -1,13 +1,23 @@
-(* Scenario front end: the default 3-tenant mixed-policy serving
-   scenario, the SLO report, and the BENCH_serve.json writer.
+(* Scenario front end: the committed serving scenarios, the one SLO
+   report, its JSON writer and printer, and the serve --check gate.
 
+   A run is [members] independent copies of one scenario, each on its
+   own machine: member 0 at the root seed, member i >= 1 at
+   [Parallel.Pool.shard_seed ~root ~shard:i], so member i's rows depend
+   only on (root seed, i), never on how many domains ran the members.
    Every number in the report is virtual (cycles, counts, rates derived
    from the modeled clock), so the JSON is bit-identical across runs of
-   the same (scenario, seed) — the property the @serve determinism
-   alias locks in.  This module would be called [Serve.Harness] if that
-   name did not shadow the [Harness] library inside this one. *)
+   the same (scenario, seed, members) at any [jobs] — the property the
+   @serve determinism alias locks in.  This module would be called
+   [Serve.Harness] if that name did not shadow the [Harness] library
+   inside this one. *)
+
+type scenario = Default | Fleet
+
+let scenario_name = function Default -> "default" | Fleet -> "fleet"
 
 type tenant_report = {
+  tr_member : int;
   tr_name : string;
   tr_workload : string;
   tr_policy : string;
@@ -19,36 +29,49 @@ type tenant_report = {
   tr_terminations : int;
   tr_restarts : int;
   tr_refused : bool;
-  tr_faults : int;
-  tr_balloon_released_pages : int;
-  tr_balloon_in_frames : int;
-  tr_partition_end : int;
-  tr_epc_limit_end : int;
-  tr_svc_mean_cycles : float;
-  tr_latency : Metrics.Stats.summary;  (* virtual cycles *)
-  tr_latency_method : string;  (* "exact" (Stats) or "sketch" *)
-  tr_sketch : Metrics.Sketch.t option;  (* the sketch itself, for pooling *)
-  tr_throughput_rps : float;  (* requests per virtual second *)
-  tr_shed_rate : float;
   tr_departed : bool;
   tr_arrive_after : int;
   tr_depart_after : int;  (* -1 when the tenant never departs *)
   tr_boot_cycles : int;  (* churn cold-start cost; 0 for initial tenants *)
+  tr_faults : int;
+  tr_svc_mean_cycles : float;
+  tr_throughput_rps : float;  (* requests per virtual second *)
+  tr_shed_rate : float;
+  tr_latency : Metrics.Stats.summary;  (* virtual cycles, from the sketch *)
+  tr_sketch : Metrics.Sketch.t;  (* pooled into the fleet latency *)
+}
+
+type member_report = {
+  mr_member : int;
+  mr_seed : int;
+  mr_end_cycle : int;
+  mr_virtual_seconds : float;
+  mr_arbiter_moves : int;
+  mr_digest : string option;
 }
 
 type report = {
-  rp_seed : int;
+  rp_scenario : scenario;
   rp_quick : bool;
+  rp_seed : int;
+  rp_tenants_n : int;
+  rp_members : member_report list;
   rp_tenants : tenant_report list;
-  rp_end_cycle : int;
-  rp_virtual_seconds : float;
-  rp_arbiter_moves : int;
-  rp_digest : string option;
+  rp_arrivals : int;
+  rp_served : int;
+  rp_shed : int;
+  rp_missed : int;
+  rp_joins : int;
+  rp_departures : int;
+  rp_refused : int;
+  rp_boot_cycles_total : int;
+  rp_fleet_latency : Metrics.Stats.summary;
 }
 
-let tenant_report ~virtual_seconds tn =
+let tenant_report ~member ~virtual_seconds tn =
   let cfg = Tenant.config tn in
   {
+    tr_member = member;
     tr_name = cfg.Tenant.name;
     tr_workload = Tenant.workload_name cfg.Tenant.workload;
     tr_policy = Tenant.policy_name cfg.Tenant.policy;
@@ -60,17 +83,12 @@ let tenant_report ~virtual_seconds tn =
     tr_terminations = Tenant.terminations tn;
     tr_restarts = Tenant.restarts tn;
     tr_refused = Tenant.state tn = Tenant.Refused;
+    tr_departed = Tenant.state tn = Tenant.Departed;
+    tr_arrive_after = cfg.Tenant.arrive_after;
+    tr_depart_after = Option.value cfg.Tenant.depart_after ~default:(-1);
+    tr_boot_cycles = Tenant.boot_cycles tn;
     tr_faults = Tenant.faults tn;
-    tr_balloon_released_pages = Tenant.balloon_released_pages tn;
-    tr_balloon_in_frames = Tenant.balloon_in_frames tn;
-    tr_partition_end = Hypervisor.Vmm.partition_frames (Tenant.vm tn);
-    tr_epc_limit_end =
-      (try Sim_os.Kernel.epc_limit (Tenant.proc tn) with Invalid_argument _ -> 0);
     tr_svc_mean_cycles = Tenant.svc_mean tn;
-    tr_latency = Tenant.latency_summary tn;
-    tr_latency_method =
-      (match Tenant.sketch tn with Some _ -> "sketch" | None -> "exact");
-    tr_sketch = Tenant.sketch tn;
     tr_throughput_rps =
       (if virtual_seconds > 0.0 then float_of_int (Tenant.served tn) /. virtual_seconds
        else 0.0);
@@ -78,32 +96,12 @@ let tenant_report ~virtual_seconds tn =
       (let a = Tenant.arrivals tn in
        if a > 0 then float_of_int (Tenant.shed tn + Tenant.missed tn) /. float_of_int a
        else 0.0);
-    tr_departed = Tenant.state tn = Tenant.Departed;
-    tr_arrive_after = (Tenant.config tn).Tenant.arrive_after;
-    tr_depart_after =
-      (match (Tenant.config tn).Tenant.depart_after with
-      | Some d -> d
-      | None -> -1);
-    tr_boot_cycles = Tenant.boot_cycles tn;
+    tr_latency = Tenant.latency_summary tn;
+    (* [run] forces [p_sketch], so every tenant carries a sketch. *)
+    tr_sketch = Option.get (Tenant.sketch tn);
   }
 
-let report_of_result ~seed ~quick (res : Engine.result) =
-  let model = Sgx.Machine.model res.Engine.r_machine in
-  let virtual_seconds =
-    float_of_int res.Engine.r_end_cycle /. model.Metrics.Cost_model.freq_hz
-  in
-  {
-    rp_seed = seed;
-    rp_quick = quick;
-    rp_tenants =
-      Array.to_list (Array.map (tenant_report ~virtual_seconds) res.Engine.r_tenants);
-    rp_end_cycle = res.Engine.r_end_cycle;
-    rp_virtual_seconds = virtual_seconds;
-    rp_arbiter_moves = res.Engine.r_arbiter_moves;
-    rp_digest = res.Engine.r_digest;
-  }
-
-(* --- default scenario -------------------------------------------------- *)
+(* --- scenarios ---------------------------------------------------------- *)
 
 (* Three tenants sharing one machine, one per protection policy:
 
@@ -165,302 +163,11 @@ let default_scenario ~quick =
     };
   ]
 
-(* --- JSON -------------------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let to_json r =
-  let b = Buffer.create 4_096 in
-  let f = Printf.sprintf "%.2f" in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"autarky-serve/1\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" r.rp_quick);
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" r.rp_seed);
-  Buffer.add_string b (Printf.sprintf "  \"end_cycle\": %d,\n" r.rp_end_cycle);
-  Buffer.add_string b
-    (Printf.sprintf "  \"virtual_seconds\": %s,\n" (f r.rp_virtual_seconds));
-  Buffer.add_string b
-    (Printf.sprintf "  \"arbiter_moves\": %d,\n" r.rp_arbiter_moves);
-  (match r.rp_digest with
-  | Some d ->
-    Buffer.add_string b (Printf.sprintf "  \"trace_digest\": \"%s\",\n" (json_escape d))
-  | None -> ());
-  Buffer.add_string b "  \"tenants\": [\n";
-  List.iteri
-    (fun i t ->
-      let s = t.tr_latency in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"workload\": \"%s\", \"policy\": \"%s\", \
-            \"generator\": \"%s\", \"arrivals\": %d, \"served\": %d, \
-            \"shed\": %d, \"deadline_missed\": %d, \"terminations\": %d, \
-            \"restarts\": %d, \"refused\": %b, \"faults\": %d, \
-            \"balloon_released_pages\": %d, \"balloon_in_frames\": %d, \
-            \"partition_end\": %d, \"epc_limit_end\": %d, \
-            \"svc_mean_cycles\": %s, \"throughput_rps\": %s, \
-            \"shed_rate\": %s, \"latency_cycles\": {\"count\": %d, \
-            \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \
-            \"max\": %s}}%s\n"
-           (json_escape t.tr_name) (json_escape t.tr_workload)
-           (json_escape t.tr_policy) (json_escape t.tr_generator) t.tr_arrivals
-           t.tr_served t.tr_shed t.tr_missed t.tr_terminations t.tr_restarts
-           t.tr_refused t.tr_faults t.tr_balloon_released_pages
-           t.tr_balloon_in_frames t.tr_partition_end t.tr_epc_limit_end
-           (f t.tr_svc_mean_cycles) (f t.tr_throughput_rps) (f t.tr_shed_rate)
-           s.Metrics.Stats.s_count (f s.Metrics.Stats.s_mean)
-           (f s.Metrics.Stats.s_p50) (f s.Metrics.Stats.s_p95)
-           (f s.Metrics.Stats.s_p99) (f s.Metrics.Stats.s_max)
-           (if i = List.length r.rp_tenants - 1 then "" else ",")))
-    r.rp_tenants;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-(* --- driver ------------------------------------------------------------ *)
-
-let print_summary r =
-  Printf.printf "serve: %d tenants, %d virtual cycles (%.4f s), seed %d%s\n"
-    (List.length r.rp_tenants) r.rp_end_cycle r.rp_virtual_seconds r.rp_seed
-    (if r.rp_quick then " (quick)" else "");
-  (match r.rp_digest with
-  | Some d -> Printf.printf "serve: trace digest %s\n" d
-  | None -> ());
-  if r.rp_arbiter_moves > 0 then
-    Printf.printf "serve: arbiter rebalanced %d time(s)\n" r.rp_arbiter_moves;
-  Printf.printf "  %-6s %-10s %-11s %8s %7s %6s %7s %10s %10s %10s %7s\n" "tenant"
-    "workload" "policy" "arrivals" "served" "shed" "missed" "p50 cyc" "p99 cyc"
-    "rps" "shed%";
-  List.iter
-    (fun t ->
-      let s = t.tr_latency in
-      Printf.printf "  %-6s %-10s %-11s %8d %7d %6d %7d %10.0f %10.0f %10.1f %6.1f%%%s\n"
-        t.tr_name t.tr_workload t.tr_policy t.tr_arrivals t.tr_served t.tr_shed
-        t.tr_missed s.Metrics.Stats.s_p50 s.Metrics.Stats.s_p99 t.tr_throughput_rps
-        (100.0 *. t.tr_shed_rate)
-        (if t.tr_refused then " [refused]"
-         else if t.tr_restarts > 0 then Printf.sprintf " [%d restarts]" t.tr_restarts
-         else ""))
-    r.rp_tenants
-
-let run ?(quick = false) ?(seed = 42) ?(no_arbiter = false) ?out ?(print = true)
-    () =
-  let params =
-    let p = Engine.default_params ~seed in
-    if no_arbiter then { p with Engine.p_arbiter = None } else p
-  in
-  let res = Engine.run ~params (default_scenario ~quick) in
-  let r = report_of_result ~seed ~quick res in
-  if print then print_summary r;
-  (match out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    output_string oc (to_json r);
-    close_out oc;
-    if print then Printf.printf "serve: wrote %s\n" file);
-  r
-
-let run_scenario ?(quick = false) ~params cfgs =
-  let res = Engine.run ~params cfgs in
-  report_of_result ~seed:params.Engine.p_seed ~quick res
-
-(* --- fleet ------------------------------------------------------------- *)
-
-(* A fleet is K independent members of the default scenario, each with
-   its own machine and a seed split from the root via
-   [Parallel.Pool.shard_seed] — so member i's report depends only on
-   (root seed, i), never on how many domains ran the fleet.  Members
-   shard across a domain pool; the merge (summed counts, merged latency
-   summaries, per-member digests in shard order) is serial. *)
-
-type fleet_tenant = {
-  ft_name : string;
-  ft_workload : string;
-  ft_policy : string;
-  ft_arrivals : int;
-  ft_served : int;
-  ft_shed : int;
-  ft_missed : int;
-  ft_latency : Metrics.Stats.summary;  (* merged across members *)
-  ft_latency_method : string;  (* "pooled-sketch" or "worst-of-shards" *)
-  ft_throughput_rps : float;  (* mean over members *)
-}
-
-type fleet_report = {
-  fr_quick : bool;
-  fr_root_seed : int;
-  fr_members : report list;  (* ordered by shard index *)
-  fr_tenants : fleet_tenant list;
-}
-
-let fleet_aggregate members =
-  match members with
-  | [] -> []
-  | first :: _ ->
-    let all = List.concat_map (fun m -> m.rp_tenants) members in
-    List.map
-      (fun t0 ->
-        let rows = List.filter (fun t -> t.tr_name = t0.tr_name) all in
-        let sum f = List.fold_left (fun acc t -> acc + f t) 0 rows in
-        let n = float_of_int (List.length rows) in
-        (* When every member carries a sketch (the fleet ran with
-           [~sketch:true]) the merge is exact bucket addition and the
-           percentiles describe the pooled distribution (within
-           [Metrics.Sketch.relative_error]).  Otherwise fall back to the
-           conservative worst-of-shards summary merge — and say so. *)
-        let sketches = List.filter_map (fun t -> t.tr_sketch) rows in
-        let latency, meth =
-          if List.length sketches = List.length rows then
-            ( Metrics.Sketch.summary (Metrics.Sketch.merged sketches),
-              "pooled-sketch" )
-          else
-            ( Metrics.Stats.merge_summaries
-                (List.map (fun t -> t.tr_latency) rows),
-              "worst-of-shards" )
-        in
-        {
-          ft_name = t0.tr_name;
-          ft_workload = t0.tr_workload;
-          ft_policy = t0.tr_policy;
-          ft_arrivals = sum (fun t -> t.tr_arrivals);
-          ft_served = sum (fun t -> t.tr_served);
-          ft_shed = sum (fun t -> t.tr_shed);
-          ft_missed = sum (fun t -> t.tr_missed);
-          ft_latency = latency;
-          ft_latency_method = meth;
-          ft_throughput_rps =
-            List.fold_left (fun acc t -> acc +. t.tr_throughput_rps) 0.0 rows /. n;
-        })
-      first.rp_tenants
-
-let fleet_to_json fr =
-  let b = Buffer.create 4_096 in
-  let f = Printf.sprintf "%.2f" in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"autarky-fleet/2\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" fr.fr_quick);
-  Buffer.add_string b (Printf.sprintf "  \"root_seed\": %d,\n" fr.fr_root_seed);
-  Buffer.add_string b "  \"members\": [\n";
-  let last_m = List.length fr.fr_members - 1 in
-  List.iteri
-    (fun i m ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"shard\": %d, \"seed\": %d, \"end_cycle\": %d, \
-            \"arbiter_moves\": %d%s}%s\n"
-           i m.rp_seed m.rp_end_cycle m.rp_arbiter_moves
-           (match m.rp_digest with
-           | Some d -> Printf.sprintf ", \"trace_digest\": \"%s\"" (json_escape d)
-           | None -> "")
-           (if i = last_m then "" else ",")))
-    fr.fr_members;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"tenants\": [\n";
-  let last_t = List.length fr.fr_tenants - 1 in
-  List.iteri
-    (fun i t ->
-      let s = t.ft_latency in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"workload\": \"%s\", \"policy\": \"%s\", \
-            \"arrivals\": %d, \"served\": %d, \"shed\": %d, \
-            \"deadline_missed\": %d, \"throughput_rps\": %s, \
-            \"latency_merge\": \"%s\", \
-            \"latency_cycles\": {\"count\": %d, \"mean\": %s, \"p50\": %s, \
-            \"p95\": %s, \"p99\": %s, \"max\": %s}}%s\n"
-           (json_escape t.ft_name) (json_escape t.ft_workload)
-           (json_escape t.ft_policy) t.ft_arrivals t.ft_served t.ft_shed
-           t.ft_missed (f t.ft_throughput_rps)
-           (json_escape t.ft_latency_method) s.Metrics.Stats.s_count
-           (f s.Metrics.Stats.s_mean) (f s.Metrics.Stats.s_p50)
-           (f s.Metrics.Stats.s_p95) (f s.Metrics.Stats.s_p99)
-           (f s.Metrics.Stats.s_max)
-           (if i = last_t then "" else ",")))
-    fr.fr_tenants;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let print_fleet fr =
-  Printf.printf "serve: fleet of %d member(s), root seed %d%s\n"
-    (List.length fr.fr_members) fr.fr_root_seed
-    (if fr.fr_quick then " (quick)" else "");
-  List.iteri
-    (fun i m ->
-      Printf.printf "  member %d: seed %d, %d virtual cycles%s\n" i m.rp_seed
-        m.rp_end_cycle
-        (match m.rp_digest with
-        | Some d -> Printf.sprintf ", digest %s" d
-        | None -> ""))
-    fr.fr_members;
-  Printf.printf "  %-6s %-10s %-11s %8s %7s %6s %7s %10s %10s %10s\n" "tenant"
-    "workload" "policy" "arrivals" "served" "shed" "missed" "p50 cyc" "p99 cyc"
-    "rps";
-  List.iter
-    (fun t ->
-      let s = t.ft_latency in
-      Printf.printf "  %-6s %-10s %-11s %8d %7d %6d %7d %10.0f %10.0f %10.1f [%s]\n"
-        t.ft_name t.ft_workload t.ft_policy t.ft_arrivals t.ft_served t.ft_shed
-        t.ft_missed s.Metrics.Stats.s_p50 s.Metrics.Stats.s_p99
-        t.ft_throughput_rps t.ft_latency_method)
-    fr.fr_tenants
-
-let fleet ?(quick = false) ?(seed = 42) ?(members = 4) ?(jobs = 1)
-    ?(no_arbiter = false) ?(sketch = false) ?out ?(print = true) () =
-  if members <= 0 then
-    invalid_arg "Serve.Driver.fleet: members must be positive";
-  let reports =
-    Parallel.Pool.map ~jobs
-      (fun shard ->
-        let mseed = Parallel.Pool.shard_seed ~root:seed ~shard in
-        let params =
-          let p = Engine.default_params ~seed:mseed in
-          let p = if no_arbiter then { p with Engine.p_arbiter = None } else p in
-          { p with Engine.p_sketch = sketch }
-        in
-        let res = Engine.run ~params (default_scenario ~quick) in
-        report_of_result ~seed:mseed ~quick res)
-      (List.init members (fun i -> i))
-  in
-  let fr =
-    {
-      fr_quick = quick;
-      fr_root_seed = seed;
-      fr_members = reports;
-      fr_tenants = fleet_aggregate reports;
-    }
-  in
-  if print then print_fleet fr;
-  (match out with
-  | None -> ()
-  | Some file ->
-    let oc = open_out file in
-    output_string oc (fleet_to_json fr);
-    close_out oc;
-    if print then Printf.printf "serve: wrote %s\n" file);
-  fr
-
-(* --- fleet scale: one machine, many tenants ----------------------------- *)
-
-(* The fleet-scale scenario packs [tenants] tenants onto one machine in
-   a fixed per-index mix (kv/clusters moderate open loop, uthash under
+(* The fleet scenario packs [tenants] tenants onto one machine in a
+   fixed per-index mix (kv/clusters moderate open loop, uthash under
    heavy-tailed Pareto arrivals, diurnal late joiners, a small
    closed-loop spellcheck population, and an overloaded uthash tenant
-   that departs mid-run).  Every tenant runs with sketch latency
-   accounting (O(1) state), so fleet memory is O(tenants), never
-   O(arrivals).
+   that departs mid-run).
 
    [span] approximates the quick-mode virtual span of the scenario at
    the default seed; churn times are placed as fractions of it so joins
@@ -539,189 +246,205 @@ let fleet_scenario ~tenants ~quick =
           depart_after = Some ((span * 55 / 100) + (i * r 2_000));
         })
 
-type fleet_scale_report = {
-  fs_quick : bool;
-  fs_seed : int;
-  fs_tenants_n : int;
-  fs_rows : tenant_report list;  (* ordered by tenant index *)
-  fs_end_cycle : int;
-  fs_virtual_seconds : float;
-  fs_arbiter_moves : int;
-  fs_arrivals : int;
-  fs_served : int;
-  fs_shed : int;
-  fs_missed : int;
-  fs_joins : int;  (* tenants that arrived after cycle 0 *)
-  fs_departures : int;
-  fs_refused : int;
-  fs_boot_cycles_total : int;  (* summed churn cold-start cost *)
-  fs_fleet_latency : Metrics.Stats.summary;
-  fs_latency_method : string;  (* "pooled-sketch" or "worst-of-shards" *)
-}
+(* --- JSON -------------------------------------------------------------- *)
 
-(* The autarky-serve/2 report: fleet totals, the pooled-sketch roll-up
-   (labeled with its merge method and error bound — satellite of the
-   [Metrics.Stats.merge_summaries] conservative-tail caveat), and one
-   row per tenant including the churn fields.  No worker-count-dependent
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+(* The autarky-serve/3 report: one row per member, fleet totals, the
+   latency roll-up pooled over every tenant's sketch (with its error
+   bound), and one row per (member, tenant).  No worker-count-dependent
    value appears anywhere, so the bytes are identical at any [jobs]. *)
-let fleet_scale_to_json fs =
-  let b = Buffer.create 65_536 in
+let to_json r =
   let f = Printf.sprintf "%.2f" in
   let summ s =
     Printf.sprintf
-      "{\"count\": %d, \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \
-       \"max\": %s}"
+      "\"count\": %d, \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \
+       \"max\": %s"
       s.Metrics.Stats.s_count (f s.Metrics.Stats.s_mean)
       (f s.Metrics.Stats.s_p50) (f s.Metrics.Stats.s_p95)
       (f s.Metrics.Stats.s_p99) (f s.Metrics.Stats.s_max)
   in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"schema\": \"autarky-serve/2\",\n";
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" fs.fs_quick);
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" fs.fs_seed);
-  Buffer.add_string b (Printf.sprintf "  \"tenants_n\": %d,\n" fs.fs_tenants_n);
-  Buffer.add_string b (Printf.sprintf "  \"end_cycle\": %d,\n" fs.fs_end_cycle);
-  Buffer.add_string b
-    (Printf.sprintf "  \"virtual_seconds\": %s,\n" (f fs.fs_virtual_seconds));
-  Buffer.add_string b
-    (Printf.sprintf "  \"arbiter_moves\": %d,\n" fs.fs_arbiter_moves);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"totals\": {\"arrivals\": %d, \"served\": %d, \"shed\": %d, \
-        \"deadline_missed\": %d, \"joins\": %d, \"departures\": %d, \
-        \"refused\": %d, \"boot_cycles_total\": %d},\n"
-       fs.fs_arrivals fs.fs_served fs.fs_shed fs.fs_missed fs.fs_joins
-       fs.fs_departures fs.fs_refused fs.fs_boot_cycles_total);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"fleet_latency\": {\"method\": \"%s\", \"rel_error\": %s, \
-        \"count\": %d, \"mean\": %s, \"p50\": %s, \"p95\": %s, \"p99\": %s, \
-        \"max\": %s},\n"
-       (json_escape fs.fs_latency_method)
-       (Printf.sprintf "%.5f" Metrics.Sketch.relative_error)
-       fs.fs_fleet_latency.Metrics.Stats.s_count
-       (f fs.fs_fleet_latency.Metrics.Stats.s_mean)
-       (f fs.fs_fleet_latency.Metrics.Stats.s_p50)
-       (f fs.fs_fleet_latency.Metrics.Stats.s_p95)
-       (f fs.fs_fleet_latency.Metrics.Stats.s_p99)
-       (f fs.fs_fleet_latency.Metrics.Stats.s_max));
-  Buffer.add_string b "  \"tenants\": [\n";
-  let last = List.length fs.fs_rows - 1 in
-  List.iteri
-    (fun i t ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"workload\": \"%s\", \"policy\": \"%s\", \
-            \"generator\": \"%s\", \"arrivals\": %d, \"served\": %d, \
-            \"shed\": %d, \"deadline_missed\": %d, \"terminations\": %d, \
-            \"restarts\": %d, \"refused\": %b, \"departed\": %b, \
-            \"arrive_after\": %d, \"depart_after\": %d, \"boot_cycles\": %d, \
-            \"faults\": %d, \"svc_mean_cycles\": %s, \"throughput_rps\": %s, \
-            \"shed_rate\": %s, \"latency_method\": \"%s\", \
-            \"latency_cycles\": %s}%s\n"
-           (json_escape t.tr_name) (json_escape t.tr_workload)
-           (json_escape t.tr_policy) (json_escape t.tr_generator) t.tr_arrivals
-           t.tr_served t.tr_shed t.tr_missed t.tr_terminations t.tr_restarts
-           t.tr_refused t.tr_departed t.tr_arrive_after t.tr_depart_after
-           t.tr_boot_cycles t.tr_faults (f t.tr_svc_mean_cycles)
-           (f t.tr_throughput_rps) (f t.tr_shed_rate)
-           (json_escape t.tr_latency_method) (summ t.tr_latency)
-           (if i = last then "" else ",")))
-    fs.fs_rows;
-  Buffer.add_string b "  ]\n";
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  let rows row l = String.concat ",\n" (List.map row l) in
+  let member m =
+    Printf.sprintf
+      "    {\"member\": %d, \"seed\": %d, \"end_cycle\": %d, \
+       \"virtual_seconds\": %s, \"arbiter_moves\": %d%s}"
+      m.mr_member m.mr_seed m.mr_end_cycle (f m.mr_virtual_seconds)
+      m.mr_arbiter_moves
+      (match m.mr_digest with
+      | Some d -> Printf.sprintf ", \"trace_digest\": \"%s\"" (json_escape d)
+      | None -> "")
+  in
+  let tenant t =
+    Printf.sprintf
+      "    {\"member\": %d, \"name\": \"%s\", \"workload\": \"%s\", \
+       \"policy\": \"%s\", \"generator\": \"%s\", \"arrivals\": %d, \
+       \"served\": %d, \"shed\": %d, \"deadline_missed\": %d, \
+       \"terminations\": %d, \"restarts\": %d, \"refused\": %b, \
+       \"departed\": %b, \"arrive_after\": %d, \"depart_after\": %d, \
+       \"boot_cycles\": %d, \"faults\": %d, \"svc_mean_cycles\": %s, \
+       \"throughput_rps\": %s, \"shed_rate\": %s, \
+       \"latency_cycles\": {%s}}"
+      t.tr_member (json_escape t.tr_name) (json_escape t.tr_workload)
+      (json_escape t.tr_policy) (json_escape t.tr_generator) t.tr_arrivals
+      t.tr_served t.tr_shed t.tr_missed t.tr_terminations t.tr_restarts
+      t.tr_refused t.tr_departed t.tr_arrive_after t.tr_depart_after
+      t.tr_boot_cycles t.tr_faults (f t.tr_svc_mean_cycles)
+      (f t.tr_throughput_rps) (f t.tr_shed_rate) (summ t.tr_latency)
+  in
+  Printf.sprintf
+    "{\n\
+    \  \"schema\": \"autarky-serve/3\",\n\
+    \  \"scenario\": \"%s\",\n\
+    \  \"quick\": %b,\n\
+    \  \"seed\": %d,\n\
+    \  \"tenants_n\": %d,\n\
+    \  \"members\": [\n%s\n  ],\n\
+    \  \"totals\": {\"arrivals\": %d, \"served\": %d, \"shed\": %d, \
+     \"deadline_missed\": %d, \"joins\": %d, \"departures\": %d, \
+     \"refused\": %d, \"boot_cycles_total\": %d},\n\
+    \  \"fleet_latency\": {\"rel_error\": %.5f, %s},\n\
+    \  \"tenants\": [\n%s\n  ]\n\
+     }\n"
+    (scenario_name r.rp_scenario) r.rp_quick r.rp_seed r.rp_tenants_n
+    (rows member r.rp_members) r.rp_arrivals r.rp_served r.rp_shed r.rp_missed
+    r.rp_joins r.rp_departures r.rp_refused r.rp_boot_cycles_total
+    Metrics.Sketch.relative_error (summ r.rp_fleet_latency)
+    (rows tenant r.rp_tenants)
 
-let print_fleet_scale fs =
+(* --- driver ------------------------------------------------------------ *)
+
+let print_report r =
+  Printf.printf "serve: %s scenario, %d member(s) x %d tenants, seed %d%s\n"
+    (scenario_name r.rp_scenario)
+    (List.length r.rp_members) r.rp_tenants_n r.rp_seed
+    (if r.rp_quick then " (quick)" else "");
+  List.iter
+    (fun m ->
+      Printf.printf
+        "  member %d: seed %d, %d virtual cycles (%.4f s), %d arbiter move(s)%s\n"
+        m.mr_member m.mr_seed m.mr_end_cycle m.mr_virtual_seconds
+        m.mr_arbiter_moves
+        (match m.mr_digest with Some d -> ", digest " ^ d | None -> ""))
+    r.rp_members;
   Printf.printf
-    "serve: fleet-scale %d tenants, %d arrivals, %d virtual cycles (%.4f s), \
-     seed %d%s\n"
-    fs.fs_tenants_n fs.fs_arrivals fs.fs_end_cycle fs.fs_virtual_seconds
-    fs.fs_seed
-    (if fs.fs_quick then " (quick)" else "");
-  Printf.printf
-    "serve: served %d, shed %d, missed %d (shed rate %.1f%%), arbiter moved \
-     %d time(s)\n"
-    fs.fs_served fs.fs_shed fs.fs_missed
-    (if fs.fs_arrivals > 0 then
-       100.0 *. float_of_int (fs.fs_shed + fs.fs_missed)
-       /. float_of_int fs.fs_arrivals
-     else 0.0)
-    fs.fs_arbiter_moves;
+    "serve: %d arrivals: served %d, shed %d, missed %d (shed rate %.1f%%)\n"
+    r.rp_arrivals r.rp_served r.rp_shed r.rp_missed
+    (if r.rp_arrivals > 0 then
+       100.0 *. float_of_int (r.rp_shed + r.rp_missed)
+       /. float_of_int r.rp_arrivals
+     else 0.0);
   Printf.printf
     "serve: churn — %d join(s) (cold-start %d cycles total), %d departure(s), \
      %d refused\n"
-    fs.fs_joins fs.fs_boot_cycles_total fs.fs_departures fs.fs_refused;
-  let s = fs.fs_fleet_latency in
+    r.rp_joins r.rp_boot_cycles_total r.rp_departures r.rp_refused;
+  let s = r.rp_fleet_latency in
   Printf.printf
-    "serve: fleet latency (%s, rel err <= %.1f%%): p50 %.0f, p95 %.0f, p99 \
-     %.0f, max %.0f cycles over %d samples\n"
-    fs.fs_latency_method
+    "serve: fleet latency (pooled sketch, rel err <= %.1f%%): p50 %.0f, p95 \
+     %.0f, p99 %.0f, max %.0f cycles over %d samples\n"
     (100.0 *. Metrics.Sketch.relative_error)
     s.Metrics.Stats.s_p50 s.Metrics.Stats.s_p95 s.Metrics.Stats.s_p99
-    s.Metrics.Stats.s_max s.Metrics.Stats.s_count
+    s.Metrics.Stats.s_max s.Metrics.Stats.s_count;
+  Printf.printf "  %-3s %-6s %-10s %-11s %8s %7s %6s %7s %10s %10s %10s %7s\n"
+    "mem" "tenant" "workload" "policy" "arrivals" "served" "shed" "missed"
+    "p50 cyc" "p99 cyc" "rps" "shed%";
+  List.iter
+    (fun t ->
+      let s = t.tr_latency in
+      Printf.printf
+        "  %-3d %-6s %-10s %-11s %8d %7d %6d %7d %10.0f %10.0f %10.1f %6.1f%%%s\n"
+        t.tr_member t.tr_name t.tr_workload t.tr_policy t.tr_arrivals
+        t.tr_served t.tr_shed t.tr_missed s.Metrics.Stats.s_p50
+        s.Metrics.Stats.s_p99 t.tr_throughput_rps (100.0 *. t.tr_shed_rate)
+        (if t.tr_refused then " [refused]"
+         else if t.tr_restarts > 0 then Printf.sprintf " [%d restarts]" t.tr_restarts
+         else ""))
+    r.rp_tenants
 
-let run_fleet_scale ?(quick = false) ?(seed = 42) ?(tenants = 100) ?(jobs = 1)
-    ?out ?(print = true) () =
-  let cfgs = fleet_scenario ~tenants ~quick in
-  let params =
-    {
-      (Engine.default_params ~seed) with
-      Engine.p_trace = false;  (* the trace would be O(arrivals) memory *)
-      p_sketch = true;
-    }
+let params ~seed ~no_arbiter =
+  let p = Engine.default_params ~seed in
+  {
+    p with
+    Engine.p_trace = false;
+    p_arbiter = (if no_arbiter then None else p.Engine.p_arbiter);
+  }
+
+(* One member: its own machine, its own seed, its rows.  Self-contained,
+   so members shard over the pool and merge in member order. *)
+let run_member ~params cfgs member =
+  let root = params.Engine.p_seed in
+  let seed =
+    if member = 0 then root else Parallel.Pool.shard_seed ~root ~shard:member
   in
-  let res = Engine.run ~params cfgs in
+  let res =
+    Engine.run ~params:{ params with Engine.p_seed = seed; p_sketch = true } cfgs
+  in
   let model = Sgx.Machine.model res.Engine.r_machine in
   let virtual_seconds =
     float_of_int res.Engine.r_end_cycle /. model.Metrics.Cost_model.freq_hz
   in
-  (* Row extraction shards over the pool; the merge is task-ordered, so
-     the report — and its JSON — is byte-identical at any [jobs]. *)
-  let rows =
-    Parallel.Pool.map ~jobs
-      (fun i -> tenant_report ~virtual_seconds res.Engine.r_tenants.(i))
-      (List.init (Array.length res.Engine.r_tenants) (fun i -> i))
+  ( {
+      mr_member = member;
+      mr_seed = seed;
+      mr_end_cycle = res.Engine.r_end_cycle;
+      mr_virtual_seconds = virtual_seconds;
+      mr_arbiter_moves = res.Engine.r_arbiter_moves;
+      mr_digest = res.Engine.r_digest;
+    },
+    Array.to_list
+      (Array.map (tenant_report ~member ~virtual_seconds) res.Engine.r_tenants) )
+
+let run ?(members = 1) ?(jobs = 1) ?out ?(print = true) ~scenario ~quick ~params
+    cfgs =
+  if members <= 0 then invalid_arg "Serve.Driver.run: members must be positive";
+  let per_member =
+    Parallel.Pool.map ~jobs (run_member ~params cfgs) (List.init members Fun.id)
   in
+  let rows = List.concat_map snd per_member in
   let sum f = List.fold_left (fun acc t -> acc + f t) 0 rows in
-  let sketches = List.filter_map (fun t -> t.tr_sketch) rows in
-  let fleet_latency, meth =
-    if List.length sketches = List.length rows && sketches <> [] then
-      (Metrics.Sketch.summary (Metrics.Sketch.merged sketches), "pooled-sketch")
-    else
-      ( Metrics.Stats.merge_summaries (List.map (fun t -> t.tr_latency) rows),
-        "worst-of-shards" )
-  in
-  let fs =
+  let count p = sum (fun t -> if p t then 1 else 0) in
+  let r =
     {
-      fs_quick = quick;
-      fs_seed = seed;
-      fs_tenants_n = tenants;
-      fs_rows = rows;
-      fs_end_cycle = res.Engine.r_end_cycle;
-      fs_virtual_seconds = virtual_seconds;
-      fs_arbiter_moves = res.Engine.r_arbiter_moves;
-      fs_arrivals = sum (fun t -> t.tr_arrivals);
-      fs_served = sum (fun t -> t.tr_served);
-      fs_shed = sum (fun t -> t.tr_shed);
-      fs_missed = sum (fun t -> t.tr_missed);
-      fs_joins = sum (fun t -> if t.tr_arrive_after > 0 then 1 else 0);
-      fs_departures = sum (fun t -> if t.tr_departed then 1 else 0);
-      fs_refused = sum (fun t -> if t.tr_refused then 1 else 0);
-      fs_boot_cycles_total = sum (fun t -> t.tr_boot_cycles);
-      fs_fleet_latency = fleet_latency;
-      fs_latency_method = meth;
+      rp_scenario = scenario;
+      rp_quick = quick;
+      rp_seed = params.Engine.p_seed;
+      rp_tenants_n = List.length cfgs;
+      rp_members = List.map fst per_member;
+      rp_tenants = rows;
+      rp_arrivals = sum (fun t -> t.tr_arrivals);
+      rp_served = sum (fun t -> t.tr_served);
+      rp_shed = sum (fun t -> t.tr_shed);
+      rp_missed = sum (fun t -> t.tr_missed);
+      rp_joins = count (fun t -> t.tr_arrive_after > 0);
+      rp_departures = count (fun t -> t.tr_departed);
+      rp_refused = count (fun t -> t.tr_refused);
+      rp_boot_cycles_total = sum (fun t -> t.tr_boot_cycles);
+      rp_fleet_latency =
+        Metrics.Sketch.summary
+          (Metrics.Sketch.merged (List.map (fun t -> t.tr_sketch) rows));
     }
   in
-  if print then print_fleet_scale fs;
+  if print then print_report r;
   (match out with
   | None -> ()
   | Some file ->
     let oc = open_out file in
-    output_string oc (fleet_scale_to_json fs);
+    output_string oc (to_json r);
     close_out oc;
     if print then Printf.printf "serve: wrote %s\n" file);
-  fs
+  r
 
 (* --- regression gate (serve --check) ------------------------------------ *)
 
@@ -731,20 +454,21 @@ let drift ~base ~cur =
   if base = 0.0 then (if cur = 0.0 then 0.0 else infinity)
   else abs_float (cur -. base) /. abs_float base
 
-(* CI gate against the committed BENCH_serve.json (autarky-serve/2).
+(* CI gate against the committed BENCH_serve.json (autarky-serve/3).
 
    Two layers, like the perf gate:
 
-   - exact checks on the baseline file itself: schema, per-row and
-     total conservation (arrivals = served + shed + deadline_missed),
-     totals equal to the sum of the rows — corruption or a
+   - exact checks on the baseline file itself: schema, scenario and
+     sizes, per-row and total conservation (arrivals = served + shed +
+     deadline_missed), totals equal to the sum of the rows, the pooled
+     latency count equal to the served total — corruption or a
      hand-edited baseline fails before anything is re-run;
-   - a quick-mode re-run at the baseline's (seed, tenants_n), comparing
-     the intensive metrics — fleet p50/p95/p99/mean and the overall
-     shed rate — within [tolerance].  Intensive metrics are stable
-     between quick and full runs of the same scenario shape; extensive
-     counts (arrivals, end_cycle) scale with the run length and are
-     deliberately not compared. *)
+   - a quick-mode re-run of the baseline's (scenario, seed, tenants_n,
+     members), comparing the intensive metrics — fleet p50/p95/p99/mean
+     and the overall shed rate — within [tolerance].  Intensive metrics
+     are stable between quick and full runs of the same scenario shape;
+     extensive counts (arrivals, end_cycle) scale with the run length
+     and are deliberately not compared. *)
 let check ~baseline ?(tolerance = 0.25) ?(jobs = 1) () =
   let module J = Harness.Microjson in
   let failures = ref [] in
@@ -753,10 +477,31 @@ let check ~baseline ?(tolerance = 0.25) ?(jobs = 1) () =
   (try
      let bj = J.of_file baseline in
      (match J.member "schema" bj with
-     | Some (J.Str "autarky-serve/2") -> ()
+     | Some (J.Str "autarky-serve/3") -> ()
      | Some (J.Str other) ->
-       failwith (Printf.sprintf "schema %s is not autarky-serve/2" other)
+       failwith (Printf.sprintf "schema %s is not autarky-serve/3" other)
      | _ -> failwith "missing schema field");
+     let scenario =
+       match J.str ~ctx (J.mem_exn ~ctx "scenario" bj) with
+       | "default" -> Default
+       | "fleet" -> Fleet
+       | other -> failwith (Printf.sprintf "unknown scenario %S" other)
+     in
+     let seed = J.int_ ~ctx (J.mem_exn ~ctx "seed" bj) in
+     let tenants = J.int_ ~ctx (J.mem_exn ~ctx "tenants_n" bj) in
+     if tenants < 1 then
+       failwith (Printf.sprintf "tenants_n %d is not positive" tenants);
+     let members = List.length (J.arr ~ctx (J.mem_exn ~ctx "members" bj)) in
+     if members < 1 then failwith "members is empty";
+     let cfgs =
+       match scenario with
+       | Default -> default_scenario ~quick:true
+       | Fleet -> fleet_scenario ~tenants ~quick:true
+     in
+     if List.length cfgs <> tenants then
+       failwith
+         (Printf.sprintf "the %s scenario has %d tenants, tenants_n says %d"
+            (scenario_name scenario) (List.length cfgs) tenants);
      let totals = J.mem_exn ~ctx "totals" bj in
      let ti k = J.int_ ~ctx (J.mem_exn ~ctx k totals) in
      let b_arrivals = ti "arrivals" in
@@ -779,39 +524,39 @@ let check ~baseline ?(tolerance = 0.25) ?(jobs = 1) () =
          let ta, ts, tsh, tm = !sums in
          sums := (ta + a, ts + s, tsh + sh, tm + m))
        rows;
-     let ta, ts, tsh, tm = !sums in
-     if (ta, ts, tsh, tm) <> (b_arrivals, b_served, b_shed, b_missed) then
+     if !sums <> (b_arrivals, b_served, b_shed, b_missed) then
        fail_cell "baseline totals disagree with the sum of the tenant rows";
-     let seed = J.int_ ~ctx (J.mem_exn ~ctx "seed" bj) in
-     let tenants = J.int_ ~ctx (J.mem_exn ~ctx "tenants_n" bj) in
-     if List.length rows <> tenants then
-       fail_cell "baseline has %d tenant rows, tenants_n says %d"
-         (List.length rows) tenants;
+     if List.length rows <> members * tenants then
+       fail_cell "baseline has %d tenant rows, %d members x %d tenants_n"
+         (List.length rows) members tenants;
      let bl = J.mem_exn ~ctx "fleet_latency" bj in
      let bf k = J.num ~ctx (J.mem_exn ~ctx k bl) in
-     (match J.str ~ctx (J.mem_exn ~ctx "method" bl) with
-     | "pooled-sketch" | "worst-of-shards" -> ()
-     | other -> fail_cell "baseline fleet_latency method %S unknown" other);
+     let b_count = J.int_ ~ctx (J.mem_exn ~ctx "count" bl) in
+     if b_count <> b_served then
+       fail_cell "baseline fleet_latency count %d <> %d served" b_count b_served;
      let base_shed_rate =
        if b_arrivals > 0 then
          float_of_int (b_shed + b_missed) /. float_of_int b_arrivals
        else 0.0
      in
-     Printf.printf "serve: checking against %s (seed %d, %d tenants, \
-                    tolerance %.0f%%)\n"
-       baseline seed tenants (100.0 *. tolerance);
-     let cur = run_fleet_scale ~quick:true ~seed ~tenants ~jobs ~print:false () in
-     if cur.fs_arrivals <> cur.fs_served + cur.fs_shed + cur.fs_missed then
-       fail_cell "re-run conservation: %d arrivals <> %d+%d+%d" cur.fs_arrivals
-         cur.fs_served cur.fs_shed cur.fs_missed;
-     if cur.fs_latency_method <> "pooled-sketch" then
-       fail_cell "re-run fleet latency method %S is not pooled-sketch"
-         cur.fs_latency_method;
-     let s = cur.fs_fleet_latency in
+     Printf.printf
+       "serve: checking against %s (%s scenario, seed %d, %d member(s) x %d \
+        tenants, tolerance %.0f%%)\n"
+       baseline (scenario_name scenario) seed members tenants
+       (100.0 *. tolerance);
+     let cur =
+       run ~members ~jobs ~print:false ~scenario ~quick:true
+         ~params:(params ~seed ~no_arbiter:false)
+         cfgs
+     in
+     if cur.rp_arrivals <> cur.rp_served + cur.rp_shed + cur.rp_missed then
+       fail_cell "re-run conservation: %d arrivals <> %d+%d+%d" cur.rp_arrivals
+         cur.rp_served cur.rp_shed cur.rp_missed;
+     let s = cur.rp_fleet_latency in
      let cur_shed_rate =
-       if cur.fs_arrivals > 0 then
-         float_of_int (cur.fs_shed + cur.fs_missed)
-         /. float_of_int cur.fs_arrivals
+       if cur.rp_arrivals > 0 then
+         float_of_int (cur.rp_shed + cur.rp_missed)
+         /. float_of_int cur.rp_arrivals
        else 0.0
      in
      let cells =

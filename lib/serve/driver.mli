@@ -1,12 +1,19 @@
 (** Serving scenarios and the SLO report (BENCH_serve.json).
 
-    The report contains only virtual quantities — modeled cycles,
-    request counts, rates over the modeled clock — so the JSON emitted
-    for a given (scenario, seed) is byte-identical run to run.  The
-    trace digest of the whole run is part of the report, extending the
-    golden-trace regression net over the serving layer. *)
+    A run is [members] independent copies of one scenario, each on its
+    own machine.  The report contains only virtual quantities — modeled
+    cycles, request counts, rates over the modeled clock — so the JSON
+    emitted for a given (scenario, seed, members) is byte-identical run
+    to run and at any worker count. *)
+
+type scenario = Default | Fleet
+(** Which committed scenario a report describes: its ["scenario"] label
+    (["default"] or ["fleet"]), and what {!check} rebuilds —
+    {!default_scenario} or {!fleet_scenario} at the report's
+    [tenants_n]. *)
 
 type tenant_report = {
+  tr_member : int;  (** index of the member this tenant ran in *)
   tr_name : string;
   tr_workload : string;
   tr_policy : string;
@@ -18,176 +25,103 @@ type tenant_report = {
   tr_terminations : int;
   tr_restarts : int;
   tr_refused : bool;
-  tr_faults : int;
-  tr_balloon_released_pages : int;
-  tr_balloon_in_frames : int;
-  tr_partition_end : int;
-  tr_epc_limit_end : int;
-  tr_svc_mean_cycles : float;
-  tr_latency : Metrics.Stats.summary;  (** request latency, virtual cycles *)
-  tr_latency_method : string;
-      (** ["exact"] (full {!Metrics.Stats} sample set) or ["sketch"]
-          ({!Metrics.Sketch}-derived, within
-          {!Metrics.Sketch.relative_error}) *)
-  tr_sketch : Metrics.Sketch.t option;
-      (** the sketch itself when the tenant ran with sketch accounting —
-          fleet roll-ups pool these by bucket addition *)
-  tr_throughput_rps : float;  (** served requests per virtual second *)
-  tr_shed_rate : float;  (** (shed + missed) / arrivals *)
   tr_departed : bool;  (** churn: tenant left before the end of the run *)
   tr_arrive_after : int;  (** churn join cycle; [0] = present from boot *)
   tr_depart_after : int;  (** configured departure cycle; [-1] = never *)
   tr_boot_cycles : int;
       (** cold-start (build + attestation) cycles charged at the churn
           join; [0] for tenants present from the start *)
+  tr_faults : int;
+  tr_svc_mean_cycles : float;
+  tr_throughput_rps : float;  (** served requests per virtual second *)
+  tr_shed_rate : float;  (** (shed + missed) / arrivals *)
+  tr_latency : Metrics.Stats.summary;
+      (** request latency in virtual cycles, from the tenant's
+          {!Metrics.Sketch} (within {!Metrics.Sketch.relative_error}) *)
+  tr_sketch : Metrics.Sketch.t;  (** the sketch the fleet latency pools *)
+}
+
+type member_report = {
+  mr_member : int;
+  mr_seed : int;
+  mr_end_cycle : int;  (** virtual cycle of the member's last event *)
+  mr_virtual_seconds : float;
+  mr_arbiter_moves : int;
+  mr_digest : string option;  (** trace digest, when the params traced *)
 }
 
 type report = {
-  rp_seed : int;
+  rp_scenario : scenario;
   rp_quick : bool;
+  rp_seed : int;  (** the root seed: member 0's *)
+  rp_tenants_n : int;  (** tenants per member *)
+  rp_members : member_report list;  (** ordered by member index *)
   rp_tenants : tenant_report list;
-  rp_end_cycle : int;
-  rp_virtual_seconds : float;
-  rp_arbiter_moves : int;
-  rp_digest : string option;
+      (** members x tenants_n rows, member-major, in config order *)
+  rp_arrivals : int;
+  rp_served : int;
+  rp_shed : int;
+  rp_missed : int;
+  rp_joins : int;  (** tenants that joined after cycle 0 (churn) *)
+  rp_departures : int;
+  rp_refused : int;
+  rp_boot_cycles_total : int;  (** summed churn cold-start cost *)
+  rp_fleet_latency : Metrics.Stats.summary;
+      (** every row's sketch pooled by bucket addition *)
 }
 
 val default_scenario : quick:bool -> Tenant.config list
-(** The committed benchmark scenario: three tenants on one machine —
-    [kv] (kvstore / clusters / moderate open loop), [spell]
-    (spellcheck / ORAM / closed loop) and [hash] (uthash / rate-limit /
-    overloaded open loop, bounded queue + deadline). *)
-
-val report_of_result : seed:int -> quick:bool -> Engine.result -> report
-
-val to_json : report -> string
-(** Stable schema ["autarky-serve/1"]; deterministic for a fixed
-    (scenario, seed). *)
-
-val print_summary : report -> unit
-
-val run :
-  ?quick:bool -> ?seed:int -> ?no_arbiter:bool -> ?out:string ->
-  ?print:bool -> unit -> report
-(** Run {!default_scenario} and optionally write the JSON report. *)
-
-val run_scenario : ?quick:bool -> params:Engine.params -> Tenant.config list -> report
-(** Run an arbitrary scenario (used by the tests). *)
-
-(** {1 Fleet mode}
-
-    [K] independent members of {!default_scenario}, each on its own
-    machine with a seed split from the root via
-    {!Parallel.Pool.shard_seed} — member [i]'s report depends only on
-    (root seed, [i]), never on the worker count, so the fleet summary
-    (and every member digest) is identical at any [jobs]. *)
-
-type fleet_tenant = {
-  ft_name : string;
-  ft_workload : string;
-  ft_policy : string;
-  ft_arrivals : int;
-  ft_served : int;
-  ft_shed : int;
-  ft_missed : int;
-  ft_latency : Metrics.Stats.summary;
-      (** pooled {!Metrics.Sketch} merge when every member ran with
-          sketch accounting, else the conservative
-          {!Metrics.Stats.merge_summaries} worst-of-shards bound —
-          [ft_latency_method] says which *)
-  ft_latency_method : string;
-      (** ["pooled-sketch"] (percentiles of the pooled distribution,
-          within {!Metrics.Sketch.relative_error}) or
-          ["worst-of-shards"] (no shard exceeded these percentiles —
-          not pooled percentiles) *)
-  ft_throughput_rps : float;  (** mean over members *)
-}
-
-type fleet_report = {
-  fr_quick : bool;
-  fr_root_seed : int;
-  fr_members : report list;  (** ordered by shard index *)
-  fr_tenants : fleet_tenant list;
-}
-
-val fleet_to_json : fleet_report -> string
-(** Stable schema ["autarky-fleet/2"]; deterministic for a fixed
-    (root seed, member count, quick).  Each tenant row labels its
-    latency percentiles with the merge method ([latency_merge]). *)
-
-val print_fleet : fleet_report -> unit
-
-val fleet :
-  ?quick:bool -> ?seed:int -> ?members:int -> ?jobs:int ->
-  ?no_arbiter:bool -> ?sketch:bool -> ?out:string -> ?print:bool -> unit ->
-  fleet_report
-(** Run the fleet ([members] defaults to 4) over a domain pool
-    ([jobs] defaults to 1; [<= 0] means {!Parallel.Pool.default_jobs})
-    and merge the reports.  [sketch] (default false) runs every member
-    with {!Metrics.Sketch} latency accounting, which upgrades the
-    roll-up from worst-of-shards to a pooled-sketch merge.
-    @raise Invalid_argument when [members <= 0]. *)
-
-(** {1 Fleet scale}
-
-    Many tenants on {e one} machine — the ISSUE-10 serving path.  All
-    latency accounting is sketch-based (O(1) state per tenant), the
-    trace recorder is off, and the report carries a pooled-sketch fleet
-    roll-up, so memory stays O(tenants) however many arrivals the run
-    generates. *)
+(** Three tenants on one machine — [kv] (kvstore / clusters / moderate
+    open loop), [spell] (spellcheck / ORAM / closed loop) and [hash]
+    (uthash / rate-limit / overloaded open loop, bounded queue +
+    deadline). *)
 
 val fleet_scenario : tenants:int -> quick:bool -> Tenant.config list
-(** The committed fleet-scale benchmark scenario: a fixed per-index mix
-    of kv/clusters open-loop tenants, heavy-tailed (Pareto) uthash
-    tenants, diurnal late joiners (churn arrivals with cold-start
-    attestation cost), a closed-loop spellcheck population, and
-    overloaded tenants that depart mid-run.  Full mode generates ~16x
-    the quick-mode arrivals.
+(** The committed benchmark scenario: a fixed per-index mix of
+    kv/clusters open-loop tenants, heavy-tailed (Pareto) uthash tenants,
+    diurnal late joiners (churn arrivals with cold-start attestation
+    cost), a closed-loop spellcheck population, and overloaded tenants
+    that depart mid-run.  Full mode generates ~16x the quick-mode
+    arrivals.
     @raise Invalid_argument when [tenants <= 0]. *)
 
-type fleet_scale_report = {
-  fs_quick : bool;
-  fs_seed : int;
-  fs_tenants_n : int;
-  fs_rows : tenant_report list;  (** ordered by tenant index *)
-  fs_end_cycle : int;
-  fs_virtual_seconds : float;
-  fs_arbiter_moves : int;
-  fs_arrivals : int;
-  fs_served : int;
-  fs_shed : int;
-  fs_missed : int;
-  fs_joins : int;  (** tenants that joined after cycle 0 (churn) *)
-  fs_departures : int;
-  fs_refused : int;
-  fs_boot_cycles_total : int;  (** summed churn cold-start cost *)
-  fs_fleet_latency : Metrics.Stats.summary;
-      (** pooled-sketch roll-up over every tenant's served requests *)
-  fs_latency_method : string;
-      (** ["pooled-sketch"], or ["worst-of-shards"] if any tenant lacked
-          a sketch *)
-}
+val params : seed:int -> no_arbiter:bool -> Engine.params
+(** The engine parameters of every CLI, bench and [--check] run:
+    {!Engine.default_params} with the trace recorder off.  Tracing keeps
+    memory bounded (a 65,536-event ring and a streaming digest sink) but
+    costs host time: it about triples a full 100-tenant run and doubles
+    a quick one. *)
 
-val fleet_scale_to_json : fleet_scale_report -> string
-(** Stable schema ["autarky-serve/2"]: fleet totals (including churn
-    counts), the labeled fleet latency roll-up with its error bound,
-    and one row per tenant.  No worker-count-dependent value appears,
-    so the bytes are identical at any [jobs]. *)
+val to_json : report -> string
+(** Stable schema ["autarky-serve/3"]: scenario, sizes, one row per
+    member ([trace_digest] only when the run traced), fleet totals
+    (including churn counts), the pooled fleet latency with its
+    [rel_error] bound, and one row per (member, tenant). *)
 
-val print_fleet_scale : fleet_scale_report -> unit
+val print_report : report -> unit
 
-val run_fleet_scale :
-  ?quick:bool -> ?seed:int -> ?tenants:int -> ?jobs:int -> ?out:string ->
-  ?print:bool -> unit -> fleet_scale_report
-(** Run {!fleet_scenario} ([tenants] defaults to 100) and optionally
-    write the [autarky-serve/2] JSON.  [jobs] shards the report
-    extraction; the output is byte-identical at any value. *)
+val run :
+  ?members:int -> ?jobs:int -> ?out:string -> ?print:bool ->
+  scenario:scenario -> quick:bool -> params:Engine.params ->
+  Tenant.config list -> report
+(** Run [members] (default 1) copies of the scenario [cfgs].  Member 0
+    runs at [params.p_seed], member [i >= 1] at
+    [Parallel.Pool.shard_seed ~root:params.p_seed ~shard:i]; members
+    shard over a domain pool of [jobs] workers (default 1; [<= 0]
+    means {!Parallel.Pool.default_jobs}) and merge in member order.
+    Every member runs with [p_sketch = true]; everything else in
+    [params] is used as given.  [scenario] and [quick] label the
+    report.  Prints the report unless [print = false] and writes the
+    JSON to [out] when given.
+    @raise Invalid_argument when [members <= 0]. *)
 
 val check : baseline:string -> ?tolerance:float -> ?jobs:int -> unit -> bool
 (** The serve regression gate ([autarky_sim serve --check]): validate
-    the committed [autarky-serve/2] baseline (schema, exact arrival
-    conservation per tenant and in total), then re-run the fleet-scale
-    scenario in quick mode at the baseline's (seed, tenants_n) and
-    compare the intensive metrics — fleet p50/p95/p99/mean latency and
-    the overall shed rate — within [tolerance] (default 0.25) relative
-    drift.  Prints a verdict table; [false] on any failure. *)
+    the committed [autarky-serve/3] baseline (schema, scenario,
+    positive sizes, exact arrival conservation per row and in total,
+    pooled latency count = served), then re-run its scenario in quick
+    mode at the baseline's (seed, tenants_n, members) and compare the
+    intensive metrics — fleet p50/p95/p99/mean latency and the overall
+    shed rate — within [tolerance] (default 0.25) relative drift.
+    Prints a verdict table; a malformed baseline prints a
+    [CHECK FAILED] line.  [false] on any failure, never an exception. *)

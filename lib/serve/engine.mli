@@ -77,9 +77,8 @@ type params = {
   p_trace : bool;  (** record a trace and compute its digest *)
   p_sketch : bool;
       (** latency accounting via {!Metrics.Sketch} (O(1) memory per
-          tenant) instead of exact {!Metrics.Stats} — the fleet-scale
-          path.  Default [false]: the [autarky-serve/1] report stays
-          byte-identical to the pre-sketch engine *)
+          tenant) instead of exact {!Metrics.Stats}.  Default [false];
+          [Serve.Driver.run] always turns it on *)
   p_hooks : hooks option;
       (** [None] (the default) leaves the event loop — and its trace
           digest — bit-for-bit identical to the hook-free engine *)

@@ -498,7 +498,6 @@ let set_refused t = t.state <- Refused
 let free_at t = t.free_at
 let set_free_at t at = t.free_at <- at
 let queue t = t.queue
-let latencies t = t.lat
 
 let record_latency t ~cycles =
   match t.lat_sketch with

@@ -101,10 +101,6 @@ val queue : t -> Ring.t
     [max 1 config.queue_capacity]; the engine's admission check sheds
     before the ring can overflow. *)
 
-val latencies : t -> Metrics.Stats.t
-(** The exact accumulator — empty when the tenant was created with
-    [~sketch:true] (use {!latency_summary}, which dispatches). *)
-
 val record_latency : t -> cycles:int -> unit
 (** Record one served-request latency into whichever accounting backend
     this tenant uses (sketch or exact stats).  Allocation-free on the

@@ -103,16 +103,28 @@ let contains ~affix s =
   let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
   m = 0 || go 0
 
-let mini_fleet2 =
+let mini_serve3 =
   {|{
-  "schema": "autarky-fleet/2",
+  "schema": "autarky-serve/3",
+  "scenario": "fleet",
   "quick": true,
-  "root_seed": 7,
-  "members": [ {"shard": 0, "seed": 9, "end_cycle": 10, "arbiter_moves": 0} ],
+  "seed": 7,
+  "tenants_n": 1,
+  "members": [
+    {"member": 0, "seed": 7, "end_cycle": 10, "virtual_seconds": 0.00,
+     "arbiter_moves": 0}
+  ],
+  "totals": {"arrivals": 4, "served": 4, "shed": 0, "deadline_missed": 0,
+    "joins": 0, "departures": 0, "refused": 0, "boot_cycles_total": 0},
+  "fleet_latency": {"rel_error": 0.03125, "count": 4, "mean": 1.0,
+    "p50": 1.0, "p95": 2.0, "p99": 2.0, "max": 2.0},
   "tenants": [
-    {"name": "kv", "workload": "kvstore", "policy": "clusters",
-     "arrivals": 4, "served": 4, "shed": 0, "deadline_missed": 0,
-     "throughput_rps": 1.0, "latency_merge": "pooled-sketch",
+    {"member": 0, "name": "kv000", "workload": "kvstore",
+     "policy": "clusters", "generator": "open(load=0.60)", "arrivals": 4,
+     "served": 4, "shed": 0, "deadline_missed": 0, "terminations": 0,
+     "restarts": 0, "refused": false, "departed": false, "arrive_after": 0,
+     "depart_after": -1, "boot_cycles": 0, "faults": 0,
+     "svc_mean_cycles": 1.0, "throughput_rps": 1.0, "shed_rate": 0.00,
      "latency_cycles": {"count": 4, "mean": 1.0, "p50": 1.0, "p95": 2.0,
        "p99": 2.0, "max": 2.0}}
   ]
@@ -120,7 +132,7 @@ let mini_fleet2 =
 
 let test_schema_accepts_valid () =
   match
-    Harness.Schema.validate ~ctx:"mini" (Harness.Microjson.of_string mini_fleet2)
+    Harness.Schema.validate ~ctx:"mini" (Harness.Microjson.of_string mini_serve3)
   with
   | Ok () -> ()
   | Error es -> Alcotest.failf "unexpected errors: %s" (String.concat "; " es)
@@ -144,36 +156,70 @@ let test_schema_rejects_missing_schema_field () =
 let test_schema_rejects_missing_row_key () =
   (* Drop a required row key and the validator must name it. *)
   let doc =
-    (* Cut the latency_merge key out of the valid document. *)
-    let needle = {|"latency_merge": "pooled-sketch",|} in
+    (* Cut the boot_cycles key out of the valid document. *)
+    let needle = {|"boot_cycles": 0,|} in
     let i =
-      let n = String.length mini_fleet2 and m = String.length needle in
+      let n = String.length mini_serve3 and m = String.length needle in
       let rec go i =
         if i + m > n then -1
-        else if String.sub mini_fleet2 i m = needle then i
+        else if String.sub mini_serve3 i m = needle then i
         else go (i + 1)
       in
       go 0
     in
-    String.sub mini_fleet2 0 i
-    ^ String.sub mini_fleet2
+    String.sub mini_serve3 0 i
+    ^ String.sub mini_serve3
         (i + String.length needle)
-        (String.length mini_fleet2 - i - String.length needle)
+        (String.length mini_serve3 - i - String.length needle)
   in
   match Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string doc) with
   | Ok () -> Alcotest.fail "missing row key accepted"
   | Error es ->
     Alcotest.(check bool) "names the key" true
-      (List.exists (fun e -> contains ~affix:"latency_merge" e) es)
+      (List.exists (fun e -> contains ~affix:"boot_cycles" e) es)
 
 let test_schema_rejects_wrong_shape () =
-  let doc = {|{"schema": "autarky-fleet/2", "quick": 1, "root_seed": 7,
-               "members": [], "tenants": []}|} in
+  let doc = {|{"schema": "autarky-serve/3", "scenario": "fleet", "quick": 1,
+               "seed": 7, "tenants_n": 1, "members": [], "totals": {},
+               "fleet_latency": {}, "tenants": []}|} in
   match Harness.Schema.validate ~ctx:"x" (Harness.Microjson.of_string doc) with
   | Ok () -> Alcotest.fail "bool-typed field accepted as number"
   | Error es ->
     Alcotest.(check bool) "names quick" true
       (List.exists (fun e -> contains ~affix:{|"quick"|} e) es)
+
+(* --- JSON reader and the perf gate on malformed input ------------------- *)
+
+let test_microjson_int_exact () =
+  let int_of s = Harness.Microjson.(int_ ~ctx:"t" (of_string s)) in
+  checki "integral" 42 (int_of "42");
+  checki "negative" (-7) (int_of "-7");
+  checki "exponent form" 1000 (int_of "1e3");
+  let rejected s =
+    match int_of s with
+    | exception Harness.Microjson.Parse_error _ -> true
+    | _ -> false
+  in
+  checkb "fraction rejected" true (rejected "1.5");
+  checkb "above the int range rejected" true (rejected "1e19");
+  checkb "below the int range rejected" true (rejected "-1e19");
+  checkb "2^62 rejected" true (rejected "4611686018427387904")
+
+let test_perf_check_malformed () =
+  (* Each unreadable baseline is a failed check, never an exception. *)
+  let file = Filename.temp_file "perf_check" ".json" in
+  let fails name contents =
+    let oc = open_out_bin file in
+    output_string oc contents;
+    close_out oc;
+    checkb name false (Harness.Perf.check ~baseline:file ())
+  in
+  fails "not a perf report" mini_serve3;
+  fails "not JSON" "{\"schema\": ";
+  fails "perf report without a matrix"
+    {|{"schema": "autarky-perf/2", "quick": true, "seed": 1}|};
+  Sys.remove file;
+  checkb "missing file" false (Harness.Perf.check ~baseline:file ())
 
 let suite =
   [
@@ -194,4 +240,7 @@ let suite =
     ("schema rejects missing row key", `Quick,
      test_schema_rejects_missing_row_key);
     ("schema rejects wrong shape", `Quick, test_schema_rejects_wrong_shape);
+    ("microjson int_ rejects non-integers", `Quick, test_microjson_int_exact);
+    ("perf check fails cleanly on malformed input", `Quick,
+     test_perf_check_malformed);
   ]

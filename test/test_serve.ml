@@ -93,22 +93,29 @@ let params ?(seed = 11) ?arbiter ?attack ?(max_restarts = 3) () =
     p_attack = attack;
   }
 
+(* One member of a custom scenario through the report driver. *)
+let run_scenario ~params cfgs =
+  Serve.Driver.run ~print:false ~scenario:Serve.Driver.Default ~quick:true
+    ~params cfgs
+
+let digest r = (List.hd r.Serve.Driver.rp_members).Serve.Driver.mr_digest
+
 let test_fixed_seed_determinism () =
   let run () =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ())
   in
   let r1 = run () and r2 = run () in
   checks "identical reports" (Serve.Driver.to_json r1) (Serve.Driver.to_json r2);
-  checkb "digest present" true (r1.Serve.Driver.rp_digest <> None);
+  checkb "digest present" true (digest r1 <> None);
   checks "identical trace digests"
-    (Option.get r1.Serve.Driver.rp_digest)
-    (Option.get r2.Serve.Driver.rp_digest)
+    (Option.get (digest r1))
+    (Option.get (digest r2))
 
 let test_admission_accounting () =
   let r =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (small_cfgs ())
+    run_scenario ~params:(params ()) (small_cfgs ())
   in
   List.iter
     (fun t ->
@@ -131,12 +138,12 @@ let test_overload_sheds_neighbour_keeps_slo () =
   (* The overloaded tenant sheds; the well-behaved tenant's p99 stays
      within 2x of what it sees with no overloaded neighbour at all. *)
   let loaded =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ())
   in
   let unloaded =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ~hash_load:0.3 ~hash_requests:40 ())
   in
@@ -155,19 +162,22 @@ let test_overload_sheds_neighbour_keeps_slo () =
     Alcotest.failf "kv p99 %.0f exceeds 2x unloaded p99 %.0f" p99l p99u
 
 let test_arbiter_moves_frames_toward_pressure () =
-  let r =
-    Serve.Driver.run_scenario ~quick:true
+  let res =
+    Serve.Engine.run
       ~params:(params ~arbiter:Serve.Engine.default_arbiter ())
       (small_cfgs ())
   in
-  checkb "arbiter acted" true (r.Serve.Driver.rp_arbiter_moves > 0);
+  checkb "arbiter acted" true (res.Serve.Engine.r_arbiter_moves > 0);
   let hash =
-    List.find (fun t -> t.Serve.Driver.tr_name = "hash") r.Serve.Driver.rp_tenants
+    Option.get
+      (Array.find_opt
+         (fun tn -> Serve.Tenant.name tn = "hash")
+         res.Serve.Engine.r_tenants)
   in
   checkb "pressured tenant gained frames" true
-    (hash.Serve.Driver.tr_balloon_in_frames > 0);
+    (Serve.Tenant.balloon_in_frames hash > 0);
   checkb "pressured tenant partition grew" true
-    (hash.Serve.Driver.tr_partition_end > 160)
+    (Hypervisor.Vmm.partition_frames (Serve.Tenant.vm hash) > 160)
 
 (* Satellite: restart churn under serving.  A hypervisor that keeps
    transparently evicting the victim's pages forces repeated detected
@@ -176,7 +186,7 @@ let test_arbiter_moves_frames_toward_pressure () =
    the co-tenant is unaffected. *)
 let test_restart_monitor_refuses_churning_tenant () =
   let r =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:
         (params ~max_restarts:1
            ~attack:{ Serve.Engine.atk_victim = "hash"; atk_every = 3 }
@@ -287,7 +297,7 @@ let test_request_path_allocation_bounded () =
       { (params ()) with Serve.Engine.p_trace = false; p_sketch = true }
     in
     let a0 = Gc.allocated_bytes () in
-    ignore (Serve.Driver.run_scenario ~quick:true ~params cfgs);
+    ignore (run_scenario ~params cfgs);
     Gc.allocated_bytes () -. a0
   in
   ignore (run 50);  (* warm any lazy initialisation *)
@@ -300,48 +310,35 @@ let test_request_path_allocation_bounded () =
 
 (* --- sketch-mode accounting -------------------------------------------- *)
 
+(* The exact backend is the reference the sketch is held to: the same
+   engine run under both accounts for every arrival identically, and
+   each sketch p99 sits within the one-sided error bound of the exact
+   p99. *)
 let test_sketch_mode_matches_exact_counts () =
   let run sketch =
-    Serve.Driver.run_scenario ~quick:true
-      ~params:{ (params ()) with Serve.Engine.p_sketch = sketch }
-      (small_cfgs ())
+    (Serve.Engine.run
+       ~params:{ (params ()) with Serve.Engine.p_sketch = sketch }
+       (small_cfgs ()))
+      .Serve.Engine.r_tenants
   in
   let exact = run false and sk = run true in
-  List.iter2
+  Array.iter2
     (fun e s ->
-      checki (e.Serve.Driver.tr_name ^ ": arrivals agree")
-        e.Serve.Driver.tr_arrivals s.Serve.Driver.tr_arrivals;
-      checki (e.Serve.Driver.tr_name ^ ": served agree")
-        e.Serve.Driver.tr_served s.Serve.Driver.tr_served;
-      checki (e.Serve.Driver.tr_name ^ ": shed agree") e.Serve.Driver.tr_shed
-        s.Serve.Driver.tr_shed;
-      checks (e.Serve.Driver.tr_name ^ ": methods label backends") "exact"
-        e.Serve.Driver.tr_latency_method;
-      checks (s.Serve.Driver.tr_name ^ ": methods label backends") "sketch"
-        s.Serve.Driver.tr_latency_method;
-      checkb (e.Serve.Driver.tr_name ^ ": sketch present") true
-        (s.Serve.Driver.tr_sketch <> None);
-      let ep = e.Serve.Driver.tr_latency.Metrics.Stats.s_p99 in
-      let sp = s.Serve.Driver.tr_latency.Metrics.Stats.s_p99 in
-      checkb (e.Serve.Driver.tr_name ^ ": p99 within sketch bound") true
+      let name = Serve.Tenant.name e in
+      checki (name ^ ": arrivals agree") (Serve.Tenant.arrivals e)
+        (Serve.Tenant.arrivals s);
+      checki (name ^ ": served agree") (Serve.Tenant.served e)
+        (Serve.Tenant.served s);
+      checki (name ^ ": shed agree") (Serve.Tenant.shed e) (Serve.Tenant.shed s);
+      checkb (name ^ ": backends as configured") true
+        (Option.is_none (Serve.Tenant.sketch e)
+        && Option.is_some (Serve.Tenant.sketch s));
+      let ep = (Serve.Tenant.latency_summary e).Metrics.Stats.s_p99 in
+      let sp = (Serve.Tenant.latency_summary s).Metrics.Stats.s_p99 in
+      checkb (name ^ ": p99 within sketch bound") true
         (sp >= ep
         && sp <= (ep *. (1.0 +. Metrics.Sketch.relative_error)) +. 1.0))
-    exact.Serve.Driver.rp_tenants sk.Serve.Driver.rp_tenants
-
-let test_serve1_json_unchanged_by_flag_default () =
-  (* p_sketch defaults to false: the autarky-serve/1 report of the
-     default engine must not change shape or values vs an explicit
-     exact run. *)
-  let r1 =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (small_cfgs ())
-  in
-  let r2 =
-    Serve.Driver.run_scenario ~quick:true
-      ~params:{ (params ()) with Serve.Engine.p_sketch = false }
-      (small_cfgs ())
-  in
-  checks "identical serve/1 JSON" (Serve.Driver.to_json r1)
-    (Serve.Driver.to_json r2)
+    exact sk
 
 (* --- new generators in the engine --------------------------------------- *)
 
@@ -361,7 +358,7 @@ let test_heavy_tail_and_diurnal_deterministic () =
       };
     ]
   in
-  let run () = Serve.Driver.run_scenario ~quick:true ~params:(params ()) cfgs in
+  let run () = run_scenario ~params:(params ()) cfgs in
   let r1 = run () and r2 = run () in
   checks "identical reports" (Serve.Driver.to_json r1) (Serve.Driver.to_json r2);
   List.iter
@@ -396,7 +393,7 @@ let churn_cfgs () =
 
 let test_churn_join_and_depart () =
   let r =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (churn_cfgs ())
+    run_scenario ~params:(params ()) (churn_cfgs ())
   in
   let find name =
     List.find (fun t -> t.Serve.Driver.tr_name = name) r.Serve.Driver.rp_tenants
@@ -408,7 +405,7 @@ let test_churn_join_and_depart () =
     (late.Serve.Driver.tr_served + late.Serve.Driver.tr_shed
    + late.Serve.Driver.tr_missed);
   checkb "run extends past the join" true
-    (r.Serve.Driver.rp_end_cycle
+    ((List.hd r.Serve.Driver.rp_members).Serve.Driver.mr_end_cycle
     > late.Serve.Driver.tr_arrive_after + late.Serve.Driver.tr_boot_cycles);
   let gone = find "gone" in
   checkb "departer left" true gone.Serve.Driver.tr_departed;
@@ -423,7 +420,7 @@ let test_churn_join_and_depart () =
 
 let test_churn_deterministic () =
   let run () =
-    Serve.Driver.run_scenario ~quick:true ~params:(params ()) (churn_cfgs ())
+    run_scenario ~params:(params ()) (churn_cfgs ())
   in
   let r1 = run () and r2 = run () in
   checks "identical churn reports" (Serve.Driver.to_json r1)
@@ -448,7 +445,7 @@ let test_churn_join_goes_through_monitor () =
     ]
   in
   let r =
-    Serve.Driver.run_scenario ~quick:true
+    run_scenario
       ~params:
         (params ~max_restarts:1
            ~attack:{ Serve.Engine.atk_victim = "hash"; atk_every = 3 }
@@ -466,76 +463,106 @@ let test_churn_join_goes_through_monitor () =
     (late.Serve.Driver.tr_served + late.Serve.Driver.tr_shed
    + late.Serve.Driver.tr_missed)
 
-(* --- fleet scale --------------------------------------------------------- *)
+(* --- fleet scenario and members ------------------------------------------ *)
+
+let run_fleet ?(members = 1) ?(jobs = 1) ?out ~tenants () =
+  Serve.Driver.run ~members ~jobs ?out ~print:false ~scenario:Serve.Driver.Fleet
+    ~quick:true
+    ~params:(Serve.Driver.params ~seed:5 ~no_arbiter:false)
+    (Serve.Driver.fleet_scenario ~tenants ~quick:true)
 
 let test_fleet_scale_report () =
-  let fs =
-    Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:12 ~jobs:1
-      ~print:false ()
-  in
-  checki "tenant rows" 12 (List.length fs.Serve.Driver.fs_rows);
-  checki "conservation" fs.Serve.Driver.fs_arrivals
-    (fs.Serve.Driver.fs_served + fs.Serve.Driver.fs_shed
-   + fs.Serve.Driver.fs_missed);
-  checks "pooled sketch roll-up" "pooled-sketch" fs.Serve.Driver.fs_latency_method;
+  let r = run_fleet ~members:2 ~tenants:12 () in
+  let rows = r.Serve.Driver.rp_tenants in
+  checki "rows = members x tenants_n" (2 * r.Serve.Driver.rp_tenants_n)
+    (List.length rows);
+  checki "tenants per member" 12 r.Serve.Driver.rp_tenants_n;
+  checkb "member 0 at the root seed, member 1 at its shard seed" true
+    (List.map (fun m -> m.Serve.Driver.mr_seed) r.Serve.Driver.rp_members
+    = [ 5; Parallel.Pool.shard_seed ~root:5 ~shard:1 ]);
+  checkb "rows member-major" true
+    (List.map (fun t -> t.Serve.Driver.tr_member) rows
+    = List.init 24 (fun i -> i / 12));
+  checki "conservation" r.Serve.Driver.rp_arrivals
+    (r.Serve.Driver.rp_served + r.Serve.Driver.rp_shed
+   + r.Serve.Driver.rp_missed);
   checkb "churn happened" true
-    (fs.Serve.Driver.fs_joins > 0 && fs.Serve.Driver.fs_departures > 0);
-  checkb "cold starts charged" true (fs.Serve.Driver.fs_boot_cycles_total > 0);
-  List.iter
-    (fun t ->
-      checks (t.Serve.Driver.tr_name ^ ": sketch accounting") "sketch"
-        t.Serve.Driver.tr_latency_method)
-    fs.Serve.Driver.fs_rows;
-  (* The roll-up count equals the summed served requests. *)
-  checki "fleet latency counts served"
-    fs.Serve.Driver.fs_served
-    fs.Serve.Driver.fs_fleet_latency.Metrics.Stats.s_count
+    (r.Serve.Driver.rp_joins > 0 && r.Serve.Driver.rp_departures > 0);
+  checkb "cold starts charged" true (r.Serve.Driver.rp_boot_cycles_total > 0);
+  checkb "untraced" true
+    (List.for_all (fun m -> m.Serve.Driver.mr_digest = None) r.Serve.Driver.rp_members);
+  (* The pooled count equals the served total and the rows' sum. *)
+  checki "fleet latency counts served" r.Serve.Driver.rp_served
+    r.Serve.Driver.rp_fleet_latency.Metrics.Stats.s_count;
+  checki "served total = sum of rows" r.Serve.Driver.rp_served
+    (List.fold_left (fun acc t -> acc + t.Serve.Driver.tr_served) 0 rows)
 
 let test_fleet_scale_jobs_invariant () =
-  let run jobs =
-    Serve.Driver.fleet_scale_to_json
-      (Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:12 ~jobs
-         ~print:false ())
-  in
+  let run jobs = Serve.Driver.to_json (run_fleet ~members:3 ~jobs ~tenants:6 ()) in
   checks "byte-identical at jobs 1 vs 3" (run 1) (run 3)
 
 let test_fleet_scale_json_validates () =
-  let fs =
-    Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:6 ~jobs:1
-      ~print:false ()
+  let validate name r =
+    match
+      Harness.Schema.validate ~ctx:name
+        (Harness.Microjson.of_string (Serve.Driver.to_json r))
+    with
+    | Ok () -> ()
+    | Error es -> Alcotest.failf "%s JSON invalid: %s" name (String.concat "; " es)
   in
-  match
-    Harness.Schema.validate ~ctx:"serve2"
-      (Harness.Microjson.of_string (Serve.Driver.fleet_scale_to_json fs))
-  with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "serve/2 JSON invalid: %s" (String.concat "; " es)
+  validate "fleet" (run_fleet ~tenants:6 ());
+  validate "default"
+    (Serve.Driver.run ~print:false ~scenario:Serve.Driver.Default ~quick:true
+       ~params:(Serve.Driver.params ~seed:5 ~no_arbiter:false)
+       (Serve.Driver.default_scenario ~quick:true))
+
+let read_file file =
+  let ic = open_in_bin file in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file file s =
+  let oc = open_out_bin file in
+  output_string oc s;
+  close_out oc
 
 let test_check_gate_round_trip () =
-  (* A baseline written by the quick fleet-scale run must pass its own
-     gate (drift 0), and a corrupted one must fail the exact layer. *)
+  (* A baseline written by the quick fleet run must pass its own gate
+     (drift 0), and a corrupted one must fail the exact layer. *)
   let file = Filename.temp_file "serve_check" ".json" in
-  let fs =
-    Serve.Driver.run_fleet_scale ~quick:true ~seed:5 ~tenants:6 ~jobs:1
-      ~out:file ~print:false ()
-  in
-  ignore fs;
+  ignore (run_fleet ~out:file ~tenants:6 ());
   checkb "self-check passes" true
     (Serve.Driver.check ~baseline:file ~tolerance:0.01 ());
   (* Break conservation in the totals. *)
-  let ic = open_in file in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  let broken =
-    Str.global_replace (Str.regexp {|"served": [0-9]+,|}) {|"served": 1,|} s
-  in
-  let oc = open_out file in
-  output_string oc broken;
-  close_out oc;
+  write_file file
+    (Str.global_replace (Str.regexp {|"served": [0-9]+,|}) {|"served": 1,|}
+       (read_file file));
   checkb "corrupt baseline fails" false
     (Serve.Driver.check ~baseline:file ~tolerance:0.01 ());
   Sys.remove file
+
+(* Each malformed baseline is a failed check — one CHECK FAILED line
+   and [false] — never an exception out of the gate, and never a
+   re-run at a truncated value. *)
+let test_check_gate_rejects_malformed () =
+  let file = Filename.temp_file "serve_malformed" ".json" in
+  ignore (run_fleet ~out:file ~tenants:6 ());
+  let good = read_file file in
+  let fails name ~pat ~by =
+    let bad = Str.replace_first (Str.regexp pat) by good in
+    checkb (name ^ ": edit applied") true (bad <> good);
+    write_file file bad;
+    checkb name false (Serve.Driver.check ~baseline:file ())
+  in
+  fails "tenants_n 0" ~pat:{|"tenants_n": 6|} ~by:{|"tenants_n": 0|};
+  fails "unknown scenario" ~pat:{|"scenario": "fleet"|} ~by:{|"scenario": "mystery"|};
+  fails "fractional seed" ~pat:{|"seed": 5,|} ~by:{|"seed": 5.5,|};
+  fails "no members" ~pat:{|"members": \[[^]]*\]|} ~by:{|"members": []|};
+  fails "default scenario with the wrong size"
+    ~pat:{|"scenario": "fleet"|} ~by:{|"scenario": "default"|};
+  Sys.remove file;
+  checkb "missing file" false (Serve.Driver.check ~baseline:file ())
 
 let suite =
   [
@@ -555,8 +582,6 @@ let suite =
      test_request_path_allocation_bounded);
     ("sketch mode matches exact counts", `Quick,
      test_sketch_mode_matches_exact_counts);
-    ("serve/1 json unchanged by flag default", `Quick,
-     test_serve1_json_unchanged_by_flag_default);
     ("heavy-tail and diurnal deterministic", `Quick,
      test_heavy_tail_and_diurnal_deterministic);
     ("churn join and depart", `Quick, test_churn_join_and_depart);
@@ -567,4 +592,6 @@ let suite =
     ("fleet-scale jobs invariant", `Quick, test_fleet_scale_jobs_invariant);
     ("fleet-scale json validates", `Quick, test_fleet_scale_json_validates);
     ("check gate round trip", `Quick, test_check_gate_round_trip);
+    ("check gate rejects malformed baselines", `Quick,
+     test_check_gate_rejects_malformed);
   ]
