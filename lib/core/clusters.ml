@@ -1,172 +1,324 @@
 type cluster_id = int
 type vpage = Sgx.Types.vpage
 
-type cluster = { mutable members : vpage list; mutable capacity : int }
+(* Clusters are dense ids (new_cluster counts up, release resets), so
+   they live in an array indexed by id; per-page state lives in arrays
+   indexed by a page slot, which [slot_of] (vpage -> slot) hands out and
+   recycles.
+
+   The transitive fetch set of a page is the connected component of the
+   cluster-sharing graph containing its clusters.  Components are kept
+   by union-find over cluster ids: [parent] links toward the root and
+   [next] threads each component's clusters into a circular list, so a
+   union is O(1) list splicing and a component can be enumerated without
+   a search.  Adding a page unions in place; removing one (and merge,
+   detach) rebuilds the one affected component from its cluster list.
+
+   The sets handed out by [fetch_set]/[evict_set] are built on first
+   query after a change and cached: per component at its root
+   ([comp_set]), per cluster ([evict]).  A cached array is replaced, never
+   mutated, so a caller holding one keeps a consistent snapshot. *)
+
+type cluster = {
+  mutable members : vpage list;  (* most recently added first *)
+  mutable size : int;  (* [-1]: the id was deleted by [merge] *)
+  capacity : int;
+  mutable evict : vpage array;  (* members ascending, when [evict_ok] *)
+  mutable evict_ok : bool;
+  mutable parent : cluster_id;
+  mutable next : cluster_id;
+  mutable comp_set : vpage array;  (* at a root: the component's pages ascending *)
+  mutable comp_ok : bool;
+}
 
 type t = {
-  clusters : (cluster_id, cluster) Hashtbl.t;
-  page_index : (vpage, cluster_id list ref) Hashtbl.t;
   mutable next_id : cluster_id;
-  (* Fault-time decision tables: fetch/evict sets memoized per page and
-     invalidated wholesale by bumping [gen] on any membership change.
-     The BFS behind [fetch_set] is linear in the reachable subgraph and
-     dominated repeat faults on stable cluster layouts. *)
-  mutable gen : int;
-  fetch_cache : (vpage, int * vpage list) Hashtbl.t;
-  evict_cache : (vpage, int * vpage list) Hashtbl.t;
+  mutable live : int;
+  mutable cl : cluster array;  (* ids [0, next_id) are in use *)
+  (* per page slot *)
+  slot_of : Sgx.Flat.t;
+  mutable ids : cluster_id list array;  (* most recently added first *)
+  mutable mark : int array;  (* [stamp] of the last set build that saw it *)
+  mutable free_slots : int list;
+  mutable used_slots : int;
+  mutable stamp : int;
 }
+
+(* Fills the unused tail of [cl]; never reached through a valid id. *)
+let unused =
+  { members = []; size = -1; capacity = 0; evict = [||]; evict_ok = false;
+    parent = -1; next = -1; comp_set = [||]; comp_ok = false }
 
 let create () =
   {
-    clusters = Hashtbl.create 256;
-    page_index = Hashtbl.create 4096;
     next_id = 0;
-    gen = 0;
-    fetch_cache = Hashtbl.create 4096;
-    evict_cache = Hashtbl.create 4096;
+    live = 0;
+    cl = Array.make 16 unused;
+    slot_of = Sgx.Flat.create ~size:64 ();
+    ids = Array.make 64 [];
+    mark = Array.make 64 0;
+    free_slots = [];
+    used_slots = 0;
+    stamp = 0;
   }
 
-let invalidate t = t.gen <- t.gen + 1
+let grow a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let new_cluster t ?(size = 0) () =
   let id = t.next_id in
+  if id = Array.length t.cl then t.cl <- grow t.cl (2 * id) unused;
+  t.cl.(id) <-
+    { members = []; size = 0; capacity = size; evict = [||]; evict_ok = true;
+      parent = id; next = id; comp_set = [||]; comp_ok = true };
   t.next_id <- id + 1;
-  Hashtbl.replace t.clusters id { members = []; capacity = size };
+  t.live <- t.live + 1;
   id
 
 let ay_init_clusters t ~n ~size =
   assert (n > 0 && size > 0);
   List.init n (fun _ -> new_cluster t ~size ())
 
+(* The arrays keep their capacity: each cluster id and page slot is
+   initialised again when it is handed out, and [stamp] only grows, so
+   no stale mark can match. *)
 let ay_release_clusters t =
-  Hashtbl.reset t.clusters;
-  Hashtbl.reset t.page_index;
-  Hashtbl.reset t.fetch_cache;
-  Hashtbl.reset t.evict_cache;
-  invalidate t;
-  t.next_id <- 0
+  t.next_id <- 0;
+  t.live <- 0;
+  Sgx.Flat.clear t.slot_of;
+  t.free_slots <- [];
+  t.used_slots <- 0
 
-let find_cluster t id =
-  match Hashtbl.find_opt t.clusters id with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Clusters: unknown cluster %d" id)
+let get t id =
+  if id < 0 || id >= t.next_id || t.cl.(id).size < 0 then
+    invalid_arg (Printf.sprintf "Clusters: unknown cluster %d" id);
+  t.cl.(id)
+
+(* --- page slots ------------------------------------------------------ *)
+
+let slot t vpage = Sgx.Flat.find t.slot_of vpage
+
+let new_slot t vpage =
+  let s =
+    match t.free_slots with
+    | s :: rest ->
+      t.free_slots <- rest;
+      s
+    | [] ->
+      let s = t.used_slots in
+      if s >= Array.length t.ids then begin
+        let m = 2 * Array.length t.ids in
+        t.ids <- grow t.ids m [];
+        t.mark <- grow t.mark m 0
+      end;
+      t.used_slots <- s + 1;
+      s
+  in
+  Sgx.Flat.set t.slot_of vpage s;
+  s
+
+let free_slot t vpage s =
+  Sgx.Flat.remove t.slot_of vpage;
+  t.ids.(s) <- [];
+  t.free_slots <- s :: t.free_slots
+
+(* --- union-find ------------------------------------------------------ *)
+
+let rec find t c =
+  let k = t.cl.(c) in
+  if k.parent = c then c
+  else begin
+    let r = find t k.parent in
+    k.parent <- r;
+    r
+  end
+
+(* Links [b]'s root under [a]'s, and splices their cluster lists. *)
+let union t a b =
+  let root = find t a and child = find t b in
+  if root <> child then begin
+    let r = t.cl.(root) and c = t.cl.(child) in
+    c.parent <- root;
+    (* Swapping one successor from each circular list joins them. *)
+    let n = r.next in
+    r.next <- c.next;
+    c.next <- n;
+    r.comp_ok <- false;
+    c.comp_set <- [||]
+  end
+
+(* The clusters of [c]'s component, by walking its circular list. *)
+let component_clusters t c =
+  let rec go k acc =
+    let acc = k :: acc in
+    let n = t.cl.(k).next in
+    if n = c then acc else go n acc
+  in
+  go c []
+
+(* Re-derive the components of the clusters that were one component
+   (after a page left a cluster, or a cluster was deleted): reset each
+   to a singleton, then union again over every page they still share.
+   Deleted clusters drop out of the lists here. *)
+let rebuild t c =
+  let ks = component_clusters t c in
+  List.iter
+    (fun k ->
+      let r = t.cl.(k) in
+      r.parent <- k;
+      r.next <- k;
+      r.comp_ok <- false;
+      r.comp_set <- [||])
+    ks;
+  List.iter
+    (fun k ->
+      let r = t.cl.(k) in
+      if r.size >= 0 then
+        List.iter
+          (fun p ->
+            List.iter (fun k' -> if k' <> k then union t k k') t.ids.(slot t p))
+          r.members)
+    ks
+
+(* --- the Table 1 API ------------------------------------------------- *)
 
 let ay_add_page t ~cluster vpage =
-  let c = find_cluster t cluster in
-  if not (List.mem vpage c.members) then begin
+  let c = get t cluster in
+  let s = slot t vpage in
+  if s < 0 || not (List.mem cluster t.ids.(s)) then begin
+    (match if s < 0 then [] else t.ids.(s) with
+    | [] -> t.ids.(new_slot t vpage) <- [ cluster ]
+    | other :: _ as ids ->
+      t.ids.(s) <- cluster :: ids;
+      union t cluster other);
     c.members <- vpage :: c.members;
-    invalidate t;
-    match Hashtbl.find_opt t.page_index vpage with
-    | Some ids -> if not (List.mem cluster !ids) then ids := cluster :: !ids
-    | None -> Hashtbl.replace t.page_index vpage (ref [ cluster ])
+    c.size <- c.size + 1;
+    c.evict_ok <- false;
+    t.cl.(find t cluster).comp_ok <- false
   end
 
 let ay_remove_page t ~cluster vpage =
-  let c = find_cluster t cluster in
-  c.members <- List.filter (fun p -> p <> vpage) c.members;
-  invalidate t;
-  match Hashtbl.find_opt t.page_index vpage with
-  | Some ids ->
-    ids := List.filter (fun id -> id <> cluster) !ids;
-    if !ids = [] then Hashtbl.remove t.page_index vpage
-  | None -> ()
+  let c = get t cluster in
+  let s = slot t vpage in
+  if s >= 0 && List.mem cluster t.ids.(s) then begin
+    c.members <- List.filter (fun p -> p <> vpage) c.members;
+    c.size <- c.size - 1;
+    c.evict_ok <- false;
+    (match List.filter (fun id -> id <> cluster) t.ids.(s) with
+    | [] -> free_slot t vpage s
+    | ids -> t.ids.(s) <- ids);
+    rebuild t cluster
+  end
 
 let ay_get_cluster_ids t vpage =
-  match Hashtbl.find_opt t.page_index vpage with
-  | Some ids -> !ids
-  | None -> []
+  let s = slot t vpage in
+  if s < 0 then [] else t.ids.(s)
 
 let detach t vpage =
   List.iter
     (fun id -> ay_remove_page t ~cluster:id vpage)
     (ay_get_cluster_ids t vpage)
 
-let pages_of t id = (find_cluster t id).members
-let size_of t id = List.length (find_cluster t id).members
-let capacity_of t id = (find_cluster t id).capacity
-let cluster_count t = Hashtbl.length t.clusters
-let registered t vpage = Hashtbl.mem t.page_index vpage
+let pages_of t id = (get t id).members
+let size_of t id = (get t id).size
+let capacity_of t id = (get t id).capacity
+let cluster_count t = t.live
+let registered t vpage = Sgx.Flat.mem t.slot_of vpage
 
 let registered_pages t =
-  Hashtbl.fold (fun vp _ acc -> vp :: acc) t.page_index [] |> List.sort Int.compare
+  Sgx.Flat.fold (fun vp _ acc -> vp :: acc) t.slot_of [] |> List.sort Int.compare
 
+(* Both ids are checked before anything moves.  Pages move in [from]'s
+   member order, so [into] ends up as it would after removing each page
+   from [from] and adding it to [into] one at a time. *)
 let merge t ~into ~from =
+  let dst = get t into and src = get t from in
   if into <> from then begin
-    let pages = pages_of t from in
+    union t into from;
     List.iter
       (fun p ->
-        ay_remove_page t ~cluster:from p;
-        ay_add_page t ~cluster:into p)
-      pages;
-    Hashtbl.remove t.clusters from
+        let s = slot t p in
+        let ids = List.filter (fun id -> id <> from) t.ids.(s) in
+        if List.mem into ids then t.ids.(s) <- ids
+        else begin
+          t.ids.(s) <- into :: ids;
+          dst.members <- p :: dst.members;
+          dst.size <- dst.size + 1
+        end)
+      src.members;
+    dst.evict_ok <- false;
+    src.members <- [];
+    src.size <- -1;
+    src.evict <- [||];
+    t.live <- t.live - 1;
+    rebuild t into
   end
 
-(* BFS over the cluster-sharing graph: clusters are nodes, an edge exists
-   when two clusters share a page.  Required for fetch correctness: if we
-   fetched only the directly-faulting cluster, previously-shared fetches
-   could leave a cluster with a single non-resident page whose later
-   fault would be uniquely identifying (§5.2.3). *)
-let reachable_clusters t vpage =
-  let seen_clusters = Hashtbl.create 16 in
-  let seen_pages = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter (fun id -> Queue.push id queue) (ay_get_cluster_ids t vpage);
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    if not (Hashtbl.mem seen_clusters id) then begin
-      Hashtbl.replace seen_clusters id ();
+(* --- fault-time sets -------------------------------------------------- *)
+
+let ascending a =
+  Array.sort Int.compare a;
+  a
+
+(* Each page once, however many of the component's clusters hold it. *)
+let build_component t root =
+  t.stamp <- t.stamp + 1;
+  let pages = ref [] in
+  List.iter
+    (fun k ->
       List.iter
         (fun p ->
-          if not (Hashtbl.mem seen_pages p) then begin
-            Hashtbl.replace seen_pages p ();
-            List.iter
-              (fun id' -> if not (Hashtbl.mem seen_clusters id') then Queue.push id' queue)
-              (ay_get_cluster_ids t p)
+          let s = slot t p in
+          if t.mark.(s) <> t.stamp then begin
+            t.mark.(s) <- t.stamp;
+            pages := p :: !pages
           end)
-        (pages_of t id)
-    end
-  done;
-  (seen_clusters, seen_pages)
+        t.cl.(k).members)
+    (component_clusters t root);
+  let set = ascending (Array.of_list !pages) in
+  let r = t.cl.(root) in
+  r.comp_set <- set;
+  r.comp_ok <- true;
+  set
+
+let component_set t root =
+  let r = t.cl.(root) in
+  if r.comp_ok then r.comp_set else build_component t root
 
 let fetch_set t vpage =
-  match Hashtbl.find_opt t.fetch_cache vpage with
-  | Some (g, set) when g = t.gen -> set
-  | _ ->
-    let set =
-      if not (registered t vpage) then [ vpage ]
-      else
-        let _, pages = reachable_clusters t vpage in
-        Hashtbl.fold (fun p () acc -> p :: acc) pages [] |> List.sort Int.compare
-    in
-    Hashtbl.replace t.fetch_cache vpage (t.gen, set);
-    set
-
-(* Fetch sets partition the registered pages (each is one connected
-   component of the sharing graph), so one [fetch_set] per component
-   covers them all. *)
-let largest_fetch_set t =
-  let covered = Hashtbl.create 64 in
-  List.fold_left
-    (fun best vp ->
-      if Hashtbl.mem covered vp then best
-      else begin
-        let set = fetch_set t vp in
-        List.iter (fun p -> Hashtbl.replace covered p ()) set;
-        max best (List.length set)
-      end)
-    0 (registered_pages t)
+  let s = slot t vpage in
+  if s < 0 then [| vpage |]
+  else
+    match t.ids.(s) with
+    | c :: _ -> component_set t (find t c)
+    | [] -> [| vpage |]
 
 let evict_set t vpage =
-  match Hashtbl.find_opt t.evict_cache vpage with
-  | Some (g, set) when g = t.gen -> set
-  | _ ->
-    let set =
-      match ay_get_cluster_ids t vpage with
-      | [] -> [ vpage ]
-      | id :: _ -> List.sort Int.compare (pages_of t id)
-    in
-    Hashtbl.replace t.evict_cache vpage (t.gen, set);
-    set
+  let s = slot t vpage in
+  if s < 0 then [| vpage |]
+  else
+    match t.ids.(s) with
+    | c :: _ ->
+      let k = t.cl.(c) in
+      if k.evict_ok then k.evict
+      else begin
+        let set = ascending (Array.of_list k.members) in
+        k.evict <- set;
+        k.evict_ok <- true;
+        set
+      end
+    | [] -> [| vpage |]
+
+let largest_fetch_set t =
+  let best = ref 0 in
+  for c = 0 to t.next_id - 1 do
+    let k = t.cl.(c) in
+    if k.size >= 0 && k.parent = c then
+      best := max !best (Array.length (component_set t c))
+  done;
+  !best
 
 let invariant_holds t ~resident =
   List.for_all

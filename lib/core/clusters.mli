@@ -33,6 +33,8 @@ val ay_add_page : t -> cluster:cluster_id -> vpage -> unit
 
 val ay_remove_page : t -> cluster:cluster_id -> vpage -> unit
 val ay_get_cluster_ids : t -> vpage -> cluster_id list
+(** The page's clusters, most recently added first; [[]] if
+    unregistered. *)
 
 val detach : t -> vpage -> unit
 (** Remove a page from every cluster it belongs to — used when taking a
@@ -44,6 +46,8 @@ val detach : t -> vpage -> unit
 
 val new_cluster : t -> ?size:int -> unit -> cluster_id
 val pages_of : t -> cluster_id -> vpage list
+(** Members, most recently added first. *)
+
 val size_of : t -> cluster_id -> int
 val capacity_of : t -> cluster_id -> int
 val cluster_count : t -> int
@@ -52,22 +56,37 @@ val registered_pages : t -> vpage list
 
 val merge : t -> into:cluster_id -> from:cluster_id -> unit
 (** Move every page of [from] into [into] and delete [from] (used by the
-    allocator to keep clusters near-full as pages are freed). *)
+    allocator to keep clusters near-full as pages are freed).  Raises
+    [Invalid_argument] when either id names no cluster, before anything
+    moves. *)
 
-(** {1 Fault-time computations} *)
+(** {1 Fault-time computations}
 
-val fetch_set : t -> vpage -> vpage list
+    The clusters are indexed by the connected components of the
+    cluster-sharing graph (union-find over cluster ids).  Adding a page
+    updates the components in place; removing a page, {!merge} and
+    {!detach} re-derive only the affected component.  Both sets below
+    are built on the first query after a change and then returned as
+    is: a query on an unchanged layout costs one page lookup and one
+    root lookup and allocates nothing.  The returned arrays are shared
+    with the index and must not be mutated; a later change replaces
+    them rather than editing them. *)
+
+val fetch_set : t -> vpage -> vpage array
 (** The transitive closure required by the invariant: all pages of all
-    clusters reachable from [vpage] through shared pages.  For an
-    unregistered page this is just [[vpage]]. *)
+    clusters reachable from [vpage] through shared pages — exactly the
+    component of [vpage]'s clusters — in ascending order.  For an
+    unregistered page this is just [[|vpage|]] (freshly allocated). *)
 
 val largest_fetch_set : t -> int
 (** Size of the largest {!fetch_set} of a registered page; [0] when no
-    page is registered. *)
+    page is registered.  One pass over the component roots (building any
+    set not yet built). *)
 
-val evict_set : t -> vpage -> vpage list
-(** Pages of one cluster containing [vpage] (single-cluster eviction is
-    always safe).  [[vpage]] if unregistered. *)
+val evict_set : t -> vpage -> vpage array
+(** The pages, ascending, of [vpage]'s most recently added cluster (the
+    head of {!ay_get_cluster_ids}) — single-cluster eviction is always
+    safe.  [[|vpage|]] if unregistered. *)
 
 val invariant_holds : t -> resident:(vpage -> bool) -> bool
 (** Check the cluster residence invariant against a residence oracle

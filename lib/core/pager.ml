@@ -148,19 +148,19 @@ let oldest_residents t n =
   done;
   List.rev !acc
 
+(* Top level, so a scan builds no closure. *)
+let rec find_from t n accept i seen =
+  if seen >= n || i = t.fq_tail then None
+  else
+    let s = i land (Array.length t.fq_vp - 1) in
+    let vp = t.fq_vp.(s) in
+    if not (live_entry t vp t.fq_seq.(s)) then find_from t n accept (i + 1) seen
+    else if accept vp then Some vp
+    else find_from t n accept (i + 1) (seen + 1)
+
 let find_oldest_resident t n accept =
   drop_dead t;
-  let mask = Array.length t.fq_vp - 1 in
-  let rec go i seen =
-    if seen >= n || i = t.fq_tail then None
-    else
-      let s = i land mask in
-      let vp = t.fq_vp.(s) in
-      if not (live_entry t vp t.fq_seq.(s)) then go (i + 1) seen
-      else if accept vp then Some vp
-      else go (i + 1) (seen + 1)
-  in
-  go t.fq_head 0
+  find_from t n accept t.fq_head 0
 
 let fresh_version t =
   t.version_counter <- t.version_counter + 1;
@@ -261,16 +261,39 @@ let sgx2_fetch_one t vp =
 
 (* --- Public fetch/evict --------------------------------------------- *)
 
+(* How many of [pages] are resident, counted without building a list:
+   when the count equals the length, the caller's list is handed on as
+   is.  Policies pass lists that are already exact, so the filtering
+   copy is only made for the rare mixed batch. *)
+let rec count_resident t n = function
+  | [] -> n
+  | vp :: rest -> count_resident t (if resident t vp then n + 1 else n) rest
+
+let rec mark_all_evicted t = function
+  | [] -> ()
+  | vp :: rest ->
+    mark_evicted t vp;
+    mark_all_evicted t rest
+
+let rec mark_all_resident t = function
+  | [] -> ()
+  | vp :: rest ->
+    mark_resident t vp;
+    mark_all_resident t rest
+
 let evict t pages =
-  let pages = List.filter (resident t) pages in
-  if pages <> [] then begin
+  let n = count_resident t 0 pages in
+  if n > 0 then begin
+    let pages =
+      if n = List.length pages then pages else List.filter (resident t) pages
+    in
     (match t.pager_mech with
     | `Sgx1 -> t.os.evict_pages pages
     | `Sgx2 ->
       sgx2_evict t pages;
       t.os.remove_pages pages);
-    List.iter (mark_evicted t) pages;
-    Metrics.Counters.cell_add t.c_pages_evicted (List.length pages);
+    mark_all_evicted t pages;
+    Metrics.Counters.cell_add t.c_pages_evicted n;
     incr t t.c_evict_batches
   end
 
@@ -282,17 +305,9 @@ let evict t pages =
    giving the OS a termination to observe. *)
 let max_fetch_attempts = 6
 
-let retry_epc_exhausted t op =
-  let cm = Sgx.Machine.model t.machine in
-  let rec go attempt =
-    match op () with
-    | Error `Epc_exhausted when attempt < max_fetch_attempts ->
-      incr t t.c_fetch_retries;
-      charge t (cm.exitless_call * (1 lsl attempt));
-      go (attempt + 1)
-    | r -> r
-  in
-  go 0
+let backoff t attempt =
+  incr t t.c_fetch_retries;
+  charge t ((Sgx.Machine.model t.machine).exitless_call * (1 lsl attempt))
 
 let terminate_on_fetch_error t (e : Os_iface.fetch_error) : 'a =
   let reason =
@@ -318,45 +333,53 @@ let terminate_on_fetch_error t (e : Os_iface.fetch_error) : 'a =
   incr t t.c_attack_detected;
   Sgx.Enclave.terminate t.enclave ~reason
 
+(* The kernel call skips already-resident pages, so a retried batch
+   keeps whatever partial progress the refused attempt made.  The retry
+   loops live at top level so each attempt is a static call, not a
+   closure built per fetch. *)
+let rec fetch_pages_sgx1 t pages attempt =
+  match t.os.fetch_pages pages with
+  | Ok () -> ()
+  | Error `Epc_exhausted when attempt < max_fetch_attempts ->
+    backoff t attempt;
+    fetch_pages_sgx1 t pages (attempt + 1)
+  | Error e -> terminate_on_fetch_error t e
+
+let rec aug_pages_sgx2 t pages attempt =
+  match t.os.aug_pages pages with
+  | Ok () -> List.iter (sgx2_fetch_one t) pages
+  | Error `Epc_exhausted when attempt < max_fetch_attempts ->
+    backoff t attempt;
+    aug_pages_sgx2 t pages (attempt + 1)
+  | Error `Epc_exhausted -> terminate_on_fetch_error t `Epc_exhausted
+
 let fetch t pages =
-  let pages = List.filter (fun vp -> not (resident t vp)) pages in
-  if pages <> [] then begin
-    if resident_count t + List.length pages > t.budget then
+  let len = List.length pages in
+  let n = len - count_resident t 0 pages in
+  if n > 0 then begin
+    let pages =
+      if n = len then pages else List.filter (fun vp -> not (resident t vp)) pages
+    in
+    if resident_count t + n > t.budget then
       Sgx.Types.sgx_errorf
         "runtime pager: fetch of %d pages exceeds budget (%d resident, budget %d)"
-        (List.length pages) (resident_count t) t.budget;
+        n (resident_count t) t.budget;
     (match t.pager_mech with
-    | `Sgx1 -> (
-      (* The kernel call skips already-resident pages, so a retried
-         batch keeps whatever partial progress the refused attempt
-         made. *)
-      match retry_epc_exhausted t (fun () -> t.os.fetch_pages pages) with
-      | Ok () -> ()
-      | Error e -> terminate_on_fetch_error t e)
-    | `Sgx2 -> (
-      match
-        retry_epc_exhausted t (fun () ->
-            (t.os.aug_pages pages
-              :> (unit, Os_iface.fetch_error) result))
-      with
-      | Ok () -> List.iter (sgx2_fetch_one t) pages
-      | Error e -> terminate_on_fetch_error t e));
-    List.iter (mark_resident t) pages;
-    Metrics.Counters.cell_add t.c_pages_fetched (List.length pages);
+    | `Sgx1 -> fetch_pages_sgx1 t pages 0
+    | `Sgx2 -> aug_pages_sgx2 t pages 0);
+    mark_all_resident t pages;
+    Metrics.Counters.cell_add t.c_pages_fetched n;
     incr t t.c_fetch_batches
   end
 
 (* Single-page fetch: what the fault handler runs on every miss.
    Equivalent to [fetch t [vp]] — same counters, charges, trace events
-   and failure behaviour — minus the list filtering and the retry
-   closures.  The retry loops live at top level so each attempt is a
-   static call, not a closure built per fault. *)
+   and failure behaviour — minus the list plumbing. *)
 let rec fetch_one_sgx1 t vp attempt =
   match t.os.fetch_page vp with
   | Ok () -> ()
   | Error `Epc_exhausted when attempt < max_fetch_attempts ->
-    incr t t.c_fetch_retries;
-    charge t ((Sgx.Machine.model t.machine).exitless_call * (1 lsl attempt));
+    backoff t attempt;
     fetch_one_sgx1 t vp (attempt + 1)
   | Error e -> terminate_on_fetch_error t e
 
@@ -364,8 +387,7 @@ let rec aug_one_sgx2 t vp attempt =
   match t.os.aug_page vp with
   | Ok () -> sgx2_fetch_one t vp
   | Error `Epc_exhausted when attempt < max_fetch_attempts ->
-    incr t t.c_fetch_retries;
-    charge t ((Sgx.Machine.model t.machine).exitless_call * (1 lsl attempt));
+    backoff t attempt;
     aug_one_sgx2 t vp (attempt + 1)
   | Error `Epc_exhausted -> terminate_on_fetch_error t `Epc_exhausted
 

@@ -4,27 +4,17 @@ type t = {
   mutable min_budget : int;
   mutable fetches : int;
   mutable balloon_calls : int;
-  in_fetch : Sgx.Flat.t;  (* scratch: pages of the current fetch set *)
+  (* Pages being fetched by the current miss, as page -> [stamp]; a new
+     stamp per victim search empties the set without clearing it. *)
+  in_fetch : Sgx.Flat.t;
+  mutable stamp : int;
+  victims : unit -> Sgx.Types.vpage list;
+      (* built once: [Pager.make_room]'s victim source *)
+  accept : Sgx.Types.vpage -> bool;
+      (* built once: the FIFO scan's victim filter *)
   c_degraded : Metrics.Counters.cell;
 }
 
-let create ~runtime ~clusters =
-  {
-    runtime;
-    cl = clusters;
-    min_budget = 32;
-    fetches = 0;
-    balloon_calls = 0;
-    in_fetch = Sgx.Flat.create ~size:256 ();
-    c_degraded =
-      Metrics.Counters.cell
-        (Sgx.Machine.counters (Runtime.machine runtime))
-        "rt.policy_degraded";
-  }
-
-let set_min_budget t n =
-  assert (n > 0);
-  t.min_budget <- n
 let clusters t = t.cl
 let cluster_fetches t = t.fetches
 
@@ -36,31 +26,81 @@ let emit t k =
       ~enclave:(Runtime.enclave t.runtime).Sgx.Enclave.id
       ~actor:(Trace.Event.Policy "page-clusters") (k ())
 
+let rec meets_fetch t set i =
+  i < Array.length set
+  && (Sgx.Flat.find t.in_fetch (Array.unsafe_get set i) = t.stamp
+     || meets_fetch t set (i + 1))
+
+(* The resident pages of [set], ascending. *)
+let resident_list pager set =
+  let acc = ref [] in
+  for i = Array.length set - 1 downto 0 do
+    let p = Array.unsafe_get set i in
+    if Pager.resident pager p then acc := p :: !acc
+  done;
+  !acc
+
 (* A victim cluster must not overlap the incoming fetch set: evicting
    pages we are about to fetch would both waste work and break the
-   residence invariant for partially-evicted clusters. *)
-let choose_victims t ~fetching () =
+   residence invariant for partially-evicted clusters.  The victim is
+   the first of the 64 FIFO-oldest residents whose evict set misses the
+   pages marked with the current stamp. *)
+let choose_victims t () =
   let pager = Runtime.pager t.runtime in
-  Sgx.Flat.clear t.in_fetch;
-  List.iter (fun vp -> Sgx.Flat.set t.in_fetch vp 1) fetching;
-  match
-    Pager.find_oldest_resident pager 64 (fun vp ->
-        not (List.exists (Sgx.Flat.mem t.in_fetch) (Clusters.evict_set t.cl vp)))
-  with
+  match Pager.find_oldest_resident pager 64 t.accept with
   | None -> []
-  | Some vp -> List.filter (Pager.resident pager) (Clusters.evict_set t.cl vp)
+  | Some vp -> resident_list pager (Clusters.evict_set t.cl vp)
+
+let create ~runtime ~clusters =
+  let in_fetch = Sgx.Flat.create ~size:64 () in
+  let c_degraded =
+    Metrics.Counters.cell
+      (Sgx.Machine.counters (Runtime.machine runtime))
+      "rt.policy_degraded"
+  in
+  let rec t =
+    {
+      runtime;
+      cl = clusters;
+      min_budget = 32;
+      fetches = 0;
+      balloon_calls = 0;
+      in_fetch;
+      stamp = 0;
+      victims = (fun () -> choose_victims t ());
+      accept = (fun vp -> not (meets_fetch t (Clusters.evict_set t.cl vp) 0));
+      c_degraded;
+    }
+  in
+  t
+
+let set_min_budget t n =
+  assert (n > 0);
+  t.min_budget <- n
 
 let on_miss t vp _sf =
   let pager = Runtime.pager t.runtime in
-  let fetch_set = Clusters.fetch_set t.cl vp in
-  let need = List.filter (fun p -> not (Pager.resident pager p)) fetch_set in
-  if List.length need > Pager.budget pager then
+  let set = Clusters.fetch_set t.cl vp in
+  (* One pass over the ascending set: the non-resident pages, in order,
+     counted and marked for the victim filter. *)
+  t.stamp <- t.stamp + 1;
+  let need = ref [] and n = ref 0 in
+  for i = Array.length set - 1 downto 0 do
+    let p = Array.unsafe_get set i in
+    if not (Pager.resident pager p) then begin
+      need := p :: !need;
+      incr n;
+      Sgx.Flat.set t.in_fetch p t.stamp
+    end
+  done;
+  let need = !need and n = !n in
+  if n > Pager.budget pager then
     (* Serving part of the set would break the residence invariant. *)
     Sgx.Enclave.terminate (Runtime.enclave t.runtime)
       ~reason:
         (Printf.sprintf
            "cluster fetch set of %d pages exceeds the runtime budget of %d"
-           (List.length need) (Pager.budget pager));
+           n (Pager.budget pager));
   (* Inlined emit: the thunk form would capture [need] and allocate a
      closure per miss even with tracing off. *)
   (match Sgx.Machine.tracer (Runtime.machine t.runtime) with
@@ -71,8 +111,7 @@ let on_miss t vp _sf =
       ~actor:(Trace.Event.Policy "page-clusters")
       (Trace.Event.Decision
          { policy = "page-clusters"; action = "cluster-fetch"; vpages = need }));
-  Pager.make_room pager ~incoming:(List.length need)
-    ~victims:(choose_victims t ~fetching:need);
+  Pager.make_room pager ~incoming:n ~victims:t.victims;
   Pager.fetch pager need;
   t.fetches <- t.fetches + 1
 
@@ -86,8 +125,10 @@ let balloon t n =
   let pager = Runtime.pager t.runtime in
   let released = ref 0 in
   let stuck = ref false in
+  (* A fresh stamp marks no page: every cluster is a candidate. *)
+  t.stamp <- t.stamp + 1;
   while !released < n && not !stuck do
-    match choose_victims t ~fetching:[] () with
+    match choose_victims t () with
     | [] -> stuck := true
     | vs ->
       Pager.evict pager vs;

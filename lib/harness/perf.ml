@@ -245,6 +245,15 @@ let run_cell ~workload ~policy ~mech ~seed ~ops =
   in
   !finish ();
   let acc0 = Sgx.Cpu.accesses (System.cpu sys) in
+  (* Start the measured phase from a compacted heap.  On OCaml 5.1 the
+     minor-word count over a phase grows with the minor collections that
+     fall inside it, far beyond what the phase allocates (one cell: 81,602
+     words with none, 540k-794k with two to four), so
+     [Gc.allocated_bytes] depends on what ran before: the same cell read
+     58 to 82 B/access over four runs in one process.  From the same
+     collector state the figure repeats (within a few % for the clusters
+     cells): a repeatable figure, not an exact word count. *)
+  Gc.compact ();
   let a0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   let r =
@@ -289,8 +298,10 @@ let matrix_cells ~quick =
         policies)
     workloads
 
+let matrix_ops ~quick = if quick then 1_000 else 8_000
+
 let matrix_section ~quick ~seed ~jobs =
-  let ops = if quick then 1_000 else 8_000 in
+  let ops = matrix_ops ~quick in
   Parallel.Pool.map ~jobs
     (fun (workload, policy, mech) -> run_cell ~workload ~policy ~mech ~seed ~ops)
     (matrix_cells ~quick)
@@ -459,9 +470,11 @@ let drift ~base ~cur =
   if base = 0.0 then (if cur = 0.0 then 0.0 else infinity)
   else Float.abs (cur -. base) /. Float.abs base
 
-(* The two sides of the gate: the baseline's cells, and the current
-   cells with their label.  Unreadable or malformed input raises
-   [Failure], [Microjson.Parse_error] or [Sys_error]. *)
+(* The two sides of the gate: the baseline's cells, the current cells
+   with their label, and — when the current side is a fresh run — a way
+   to measure one cell's allocation again on its own.  Unreadable or
+   malformed input raises [Failure], [Microjson.Parse_error] or
+   [Sys_error]. *)
 let gate_inputs ~baseline ?against ~jobs () =
   let load path =
     let j =
@@ -475,9 +488,9 @@ let gate_inputs ~baseline ?against ~jobs () =
   in
   let bj = load baseline in
   let base = gate_cells_of_json ~ctx:baseline bj in
-  let cur, cur_label =
+  let cur, cur_label, remeasure =
     match against with
-    | Some path -> (gate_cells_of_json ~ctx:path (load path), path)
+    | Some path -> (gate_cells_of_json ~ctx:path (load path), path, None)
     | None ->
       (* Re-run the matrix at the baseline's own shape and seed so the
          comparison is cell-for-cell.  The micro section is skipped:
@@ -488,12 +501,17 @@ let gate_inputs ~baseline ?against ~jobs () =
       Printf.printf "perf: re-running the %s matrix (seed %d) against %s\n%!"
         (if quick then "quick" else "full")
         seed baseline;
-      (gate_cells_of_rows (matrix_section ~quick ~seed ~jobs), "this run")
+      let ops = matrix_ops ~quick in
+      let alone (workload, policy, mech) =
+        let mech = if mech = "sgx2" then `Sgx2 else `Sgx1 in
+        (run_cell ~workload ~policy ~mech ~seed ~ops).mx_alloc
+      in
+      (gate_cells_of_rows (matrix_section ~quick ~seed ~jobs), "this run", Some alone)
   in
-  (base, cur, cur_label)
+  (base, cur, cur_label, remeasure)
 
-let compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling base cur
-    cur_label =
+let compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling ?remeasure
+    base cur cur_label =
   let assoc cells = List.map (fun c -> (c.g_key, c)) cells in
   let base_a = assoc base and cur_a = assoc cur in
   let failures = ref [] in
@@ -537,7 +555,12 @@ let compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling base cur
      ceiling applies to the current run's rate-limit cells (the cells
      the rewrite targets; wall time is machine-dependent, so the bound
      is generous).  The alloc ceiling bounds the matrix-median
-     allocation per access, which is deterministic. *)
+     allocation per access, and also holds every cell to its baseline
+     cell within [tolerance].  A cell's allocation repeats when it runs
+     alone, but a cell sharded next to others can come out inflated
+     (3.9 -> 136 B/access seen at --jobs 2: the other domains' collections
+     interrupt it), so a fresh-run cell over its bound is measured again
+     alone before it fails. *)
   (match wall_ceiling_ns with
   | None -> ()
   | Some ceiling ->
@@ -563,7 +586,26 @@ let compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling base cur
       if median > ceiling then
         fail_cell "matrix median alloc %.1f B/access exceeds ceiling %.0f" median
           ceiling
-    end);
+    end;
+    List.iter
+      (fun (k, b) ->
+        let limit = b.g_alloc *. (1.0 +. tolerance) in
+        match List.assoc_opt k cur_a with
+        | Some c when c.g_alloc > limit ->
+          let alloc =
+            match remeasure with
+            | None -> c.g_alloc
+            | Some alone ->
+              let a = alone k in
+              Printf.printf "perf: cell %s alloc %.1f B/access in the matrix run, %.1f alone\n"
+                (key_name k) c.g_alloc a;
+              a
+          in
+          if alloc > limit then
+            fail_cell "cell %s: alloc %.1f B/access exceeds baseline %.1f by more than %.0f%%"
+              (key_name k) alloc b.g_alloc (100.0 *. tolerance)
+        | _ -> ())
+      base_a);
   let ok = !failures = [] in
   if ok then
     Printf.printf "perf: %d cells within %.0f%% of %s (%s)\n"
@@ -583,6 +625,6 @@ let check ~baseline ?against ?(tolerance = 0.25) ?wall_ceiling_ns ?alloc_ceiling
   | exception (Failure m | Microjson.Parse_error m | Sys_error m) ->
     Printf.printf "perf: CHECK FAILED: %s\n" m;
     false
-  | base, cur, cur_label ->
-    compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling base cur
-      cur_label
+  | base, cur, cur_label, remeasure ->
+    compare_cells ~baseline ~tolerance ?wall_ceiling_ns ?alloc_ceiling ?remeasure
+      base cur cur_label

@@ -78,7 +78,13 @@ val check :
     current rate-limit cell whose wall ns/access exceeds it (a generous
     absolute bound locking in the flat-core speedup), and
     [alloc_ceiling] fails the run when the current matrix's *median*
-    allocated bytes/access exceeds it.  Prints a verdict table; returns
+    allocated bytes/access exceeds it, and then also fails any cell
+    whose allocated bytes/access exceed its baseline cell's by more
+    than [tolerance].  A cell's allocation is exact when the cell runs
+    alone but can come out inflated when it is sharded next to others
+    ([jobs > 1]), so on a fresh run a cell over its bound is measured
+    again alone, and fails only if it is still over.  Prints a verdict
+    table; returns
     whether every cell passed.  An unreadable, malformed or non-perf
     input file prints one [CHECK FAILED] line and returns [false]; it
     never raises. *)

@@ -202,7 +202,8 @@ let intended_perms_of proc vp =
 let map_page proc ~vpage ~frame ~perms =
   Flat.set proc.intended_perms vpage (Types.perms_bits perms);
   let preset = proc.enclave.self_paging in
-  Page_table.map proc.pt ~vpage ~frame ~perms ~accessed:preset ~dirty:preset ()
+  Page_table.map_packed proc.pt ~vpage
+    (Page_table.pack ~frame ~perms ~accessed:preset ~dirty:preset)
 
 let add_initial_page t proc ~vpage ~data ~perms =
   (match proc.enclave.state with
@@ -251,24 +252,34 @@ let ensure_va_slots t ~needed =
       Types.sgx_errorf "cannot provision a version-array page: EPC full"
   done
 
+let rec eblock_all t proc = function
+  | [] -> ()
+  | vp :: rest ->
+    Instructions.eblock t.machine proc.enclave ~vpage:vp;
+    eblock_all t proc rest
+
+let rec ewb_all t proc ~os_initiated = function
+  | [] -> ()
+  | vp :: rest ->
+    let sw = Instructions.ewb t.machine proc.enclave ~vpage:vp in
+    Swap_store.put proc.proc_swap vp (Swap_store.V1 sw);
+    Page_table.unmap proc.pt vp;
+    proc.resident_count <- proc.resident_count - 1;
+    if os_initiated then incr t t.cells.k_evict;
+    ewb_all t proc ~os_initiated rest
+
 (* The architectural eviction protocol, batched the way the SGX driver
    does it: EBLOCK every victim, one ETRACK (TLB shootdown), then EWB
-   each page out. *)
+   each page out.  The per-page loops are top-level recursions, so a
+   batch builds no closures. *)
 let do_evict_batch ?(os_initiated = true) t proc vps =
   match vps with
   | [] -> ()
   | _ ->
     ensure_va_slots t ~needed:(List.length vps);
-    List.iter (fun vp -> Instructions.eblock t.machine proc.enclave ~vpage:vp) vps;
+    eblock_all t proc vps;
     Instructions.etrack t.machine proc.enclave;
-    List.iter
-      (fun vp ->
-        let sw = Instructions.ewb t.machine proc.enclave ~vpage:vp in
-        Swap_store.put proc.proc_swap vp (Swap_store.V1 sw);
-        Page_table.unmap proc.pt vp;
-        proc.resident_count <- proc.resident_count - 1;
-        if os_initiated then incr t t.cells.k_evict)
-      vps;
+    ewb_all t proc ~os_initiated vps;
     (* Inline tracer match: a thunk here would capture [vps] and
        allocate per eviction batch even with tracing off. *)
     match Machine.tracer t.machine with
@@ -340,43 +351,55 @@ let rec ensure_headroom t proc ~extra =
 
 (* --- Fetch ----------------------------------------------------------- *)
 
+(* No blob: either the page is resident but was unmapped or had its
+   permissions restricted — restore the intended mapping — or the OS
+   deleted the blob of a swapped-out page (a Byzantine fault the
+   runtime must detect). *)
+let fetch_without_blob t proc vp : (unit, fetch_error) result =
+  let frame =
+    Epc.frame_of_packed t.machine.epc ~enclave_id:proc.enclave.id ~vpage:vp
+  in
+  if frame >= 0 then begin
+    map_page proc ~vpage:vp ~frame ~perms:(intended_perms_of proc vp);
+    incr t t.cells.k_remap;
+    Ok ()
+  end
+  else Error (`Blob_missing vp)
+
+(* The blob leaves the store before ELDU runs, so one that fails its MAC
+   or replay check is gone either way. *)
 let do_fetch t proc vp ~pinned : (unit, fetch_error) result =
-  match Swap_store.take proc.proc_swap vp with
-  | Some (Swap_store.V1 sw) -> (
-    match Instructions.eldu t.machine proc.enclave sw with
-    | Ok frame ->
-      map_page proc ~vpage:vp ~frame ~perms:sw.sw_perms;
-      proc.resident_count <- proc.resident_count + 1;
-      if not pinned then enqueue_os_resident proc vp;
-      if not pinned then incr t t.cells.k_fetch;
-      (match Machine.tracer t.machine with
-      | None -> ()
-      | Some tr ->
-        Trace.Recorder.emit tr ~enclave:proc.enclave.id ~actor:Trace.Event.Os
-          (Trace.Event.Fetch { vpages = [ vp ]; enclave_initiated = pinned }));
-      (* The page just became resident: the demand-paging side channel
-         (§4) — an observing OS always sees this. *)
-      t.kernel_hooks.on_fetch proc [ vp ];
-      Ok ()
-    | Error `Mac_mismatch -> Error (`Blob_mac_mismatch vp)
-    | Error `Replayed -> Error (`Blob_replayed vp)
-    | Error `Epc_full ->
-      (* The caller ensured headroom; running out here is a simulator
-         bug, not OS behaviour. *)
-      Types.sgx_errorf "ELDU: EPC full after headroom check for page 0x%x" vp)
-  | Some (Swap_store.V2 _) ->
-    Types.sgx_errorf "OS fetch of runtime-sealed (SGXv2) page 0x%x" vp
-  | None -> (
-    (* No blob: either the page is resident but was unmapped or had its
-       permissions restricted — restore the intended mapping — or the
-       OS deleted the blob of a swapped-out page (a Byzantine fault the
-       runtime must detect). *)
-    match Epc.frame_of t.machine.epc ~enclave_id:proc.enclave.id ~vpage:vp with
-    | Some frame ->
-      map_page proc ~vpage:vp ~frame ~perms:(intended_perms_of proc vp);
-      incr t t.cells.k_remap;
-      Ok ()
-    | None -> Error (`Blob_missing vp))
+  let swap = proc.proc_swap in
+  let slot = Swap_store.slot swap vp in
+  if slot < 0 then fetch_without_blob t proc vp
+  else
+    match Swap_store.blob_at swap slot with
+    | Swap_store.V2 _ ->
+      Swap_store.delete swap vp;
+      Types.sgx_errorf "OS fetch of runtime-sealed (SGXv2) page 0x%x" vp
+    | Swap_store.V1 sw -> (
+      Swap_store.delete swap vp;
+      match Instructions.eldu t.machine proc.enclave sw with
+      | Ok frame ->
+        map_page proc ~vpage:vp ~frame ~perms:sw.sw_perms;
+        proc.resident_count <- proc.resident_count + 1;
+        if not pinned then enqueue_os_resident proc vp;
+        if not pinned then incr t t.cells.k_fetch;
+        (match Machine.tracer t.machine with
+        | None -> ()
+        | Some tr ->
+          Trace.Recorder.emit tr ~enclave:proc.enclave.id ~actor:Trace.Event.Os
+            (Trace.Event.Fetch { vpages = [ vp ]; enclave_initiated = pinned }));
+        (* The page just became resident: the demand-paging side channel
+           (§4) — an observing OS always sees this. *)
+        t.kernel_hooks.on_fetch proc [ vp ];
+        Ok ()
+      | Error `Mac_mismatch -> Error (`Blob_mac_mismatch vp)
+      | Error `Replayed -> Error (`Blob_replayed vp)
+      | Error `Epc_full ->
+        (* The caller ensured headroom; running out here is a simulator
+           bug, not OS behaviour. *)
+        Types.sgx_errorf "ELDU: EPC full after headroom check for page 0x%x" vp)
 
 (* --- Fault handling -------------------------------------------------- *)
 
@@ -477,10 +500,22 @@ let rec fetch_all t proc = function
     | Ok () -> fetch_all t proc rest
     | Error _ as e -> e)
 
+(* How many of [pages] are resident, counted without building a list:
+   the batch calls hand the caller's list on as is unless it is mixed. *)
+let rec count_resident t proc n = function
+  | [] -> n
+  | vp :: rest ->
+    count_resident t proc (if resident t proc vp then n + 1 else n) rest
+
 let ay_fetch_pages t proc pages =
-  charge_hostcall t proc t.cells.k_sys_fetch_pages ~pages:(List.length pages);
-  let needed = List.filter (fun vp -> not (resident t proc vp)) pages in
-  match ensure_headroom t proc ~extra:(List.length needed) with
+  let len = List.length pages in
+  charge_hostcall t proc t.cells.k_sys_fetch_pages ~pages:len;
+  let n = len - count_resident t proc 0 pages in
+  let needed =
+    if n = len then pages
+    else List.filter (fun vp -> not (resident t proc vp)) pages
+  in
+  match ensure_headroom t proc ~extra:n with
   | Error `Epc_exhausted -> Error `Epc_exhausted
   | Ok () -> fetch_all t proc needed
 
@@ -496,9 +531,11 @@ let ay_fetch_page t proc vp =
   | Ok () -> if extra = 0 then Ok () else do_fetch t proc vp ~pinned:true
 
 let ay_evict_pages t proc pages =
-  charge_hostcall t proc t.cells.k_sys_evict_pages ~pages:(List.length pages);
+  let len = List.length pages in
+  charge_hostcall t proc t.cells.k_sys_evict_pages ~pages:len;
   do_evict_batch ~os_initiated:false t proc
-    (List.filter (resident t proc) pages)
+    (if count_resident t proc 0 pages = len then pages
+     else List.filter (resident t proc) pages)
 
 let ay_aug_pages t proc pages =
   charge_hostcall t proc t.cells.k_sys_aug_pages ~pages:(List.length pages);

@@ -13,11 +13,17 @@ type epcm_entry = {
    with enclave id and vpage packed into one int; the free pool is an
    int-array stack.  Both preserve the old structures' observable
    order: the stack pops frames 0, 1, 2, ... initially and is LIFO on
-   release, exactly like the old cons-list free list. *)
+   release, exactly like the old cons-list free list.
+
+   Free frames all hold the one shared [zero] payload, so a release
+   allocates nothing.  The instructions that bind a frame either install
+   the page's own payload (EADD, ELDU, EACCEPTCOPY) or a fresh zero page
+   (EAUG), so the shared one is never written through. *)
 
 type t = {
   entries : epcm_entry array;
   contents : Page_data.t array;
+  zero : Page_data.t;
   free : int array;           (* free frames; top of stack at free_count-1 *)
   mutable free_count : int;
   reverse : Flat.t;
@@ -39,9 +45,11 @@ let empty_entry () =
 
 let create ~frames =
   assert (frames > 0);
+  let zero = Page_data.create () in
   {
     entries = Array.init frames (fun _ -> empty_entry ());
-    contents = Array.init frames (fun _ -> Page_data.create ());
+    contents = Array.make frames zero;
+    zero;
     (* Arranged so the first pops yield frames 0, 1, 2, ... *)
     free = Array.init frames (fun i -> frames - 1 - i);
     free_count = frames;
@@ -52,11 +60,11 @@ let total_frames t = Array.length t.entries
 let free_frames t = t.free_count
 
 let alloc t =
-  if t.free_count = 0 then None
+  if t.free_count = 0 then -1
   else begin
     let f = t.free.(t.free_count - 1) in
     t.free_count <- t.free_count - 1;
-    Some f
+    f
   end
 
 let entry t frame = t.entries.(frame)
@@ -75,7 +83,7 @@ let release t frame =
   e.blocked <- false;
   e.enclave_id <- -1;
   e.vpage <- -1;
-  t.contents.(frame) <- Page_data.create ();
+  t.contents.(frame) <- t.zero;
   t.free.(t.free_count) <- frame;
   t.free_count <- t.free_count + 1
 

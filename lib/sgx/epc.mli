@@ -25,11 +25,13 @@ val create : frames:int -> t
 val total_frames : t -> int
 val free_frames : t -> int
 
-val alloc : t -> Types.frame option
-(** Take a free frame, or [None] when the EPC is exhausted. *)
+val alloc : t -> Types.frame
+(** Take a free frame, or [-1] when the EPC is exhausted.  Its payload
+    is the shared zero page until an instruction installs one. *)
 
 val release : t -> Types.frame -> unit
-(** Invalidate the EPCM entry and return the frame to the free pool. *)
+(** Invalidate the EPCM entry and return the frame to the free pool
+    (its payload reverts to the shared zero page). *)
 
 val entry : t -> Types.frame -> epcm_entry
 val data : t -> Types.frame -> Page_data.t

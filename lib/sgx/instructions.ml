@@ -45,14 +45,13 @@ let eadd m (enclave : Enclave.t) ~vpage ~data ~perms ~ptype =
   if not (Enclave.contains_vpage enclave vpage) then
     Types.sgx_errorf "EADD: page 0x%x outside enclave %d" vpage enclave.id;
   let cm = Machine.model m in
-  match Epc.alloc m.epc with
-  | None -> Types.sgx_errorf "EADD: EPC exhausted"
-  | Some frame ->
-    Epc.bind m.epc ~frame ~enclave_id:enclave.id ~vpage ~perms ~ptype ~pending:false;
-    Epc.set_data m.epc frame data;
-    Machine.charge m cm.eadd;
-    incr (Machine.hot m).Machine.c_eadd;
-    frame
+  let frame = Epc.alloc m.epc in
+  if frame < 0 then Types.sgx_errorf "EADD: EPC exhausted";
+  Epc.bind m.epc ~frame ~enclave_id:enclave.id ~vpage ~perms ~ptype ~pending:false;
+  Epc.set_data m.epc frame data;
+  Machine.charge m cm.eadd;
+  incr (Machine.hot m).Machine.c_eadd;
+  frame
 
 let einit m (enclave : Enclave.t) =
   (match enclave.state with
@@ -180,15 +179,16 @@ let eenter_run m (enclave : Enclave.t) f =
 
 let epa m =
   let cm = Machine.model m in
-  match Epc.alloc m.epc with
-  | None -> Error `Epc_full
-  | Some frame ->
+  let frame = Epc.alloc m.epc in
+  if frame < 0 then Error `Epc_full
+  else begin
     Epc.bind ~track_reverse:false m.epc ~frame ~enclave_id:(-1) ~vpage:(-1)
       ~perms:Types.perms_ro ~ptype:Types.Pt_va ~pending:false;
     Machine.provision_va_page m ~frame;
     Machine.charge m cm.epa;
     incr (Machine.hot m).Machine.c_epa;
     Ok frame
+  end
 
 let eblock m (enclave : Enclave.t) ~vpage =
   let cm = Machine.model m in
@@ -222,16 +222,13 @@ let ewb m (enclave : Enclave.t) ~vpage =
   if enclave.blocked_since_track > 0 then
     Types.sgx_errorf "EWB: tracking epoch not retired (run ETRACK)";
   let version = Machine.fresh_va_version m in
-  let slot =
-    match Machine.take_va_slot m ~version with
-    | Some slot -> slot
-    | None -> Types.sgx_errorf "EWB: no free version-array slot (run EPA)"
-  in
+  let slot = Machine.take_va_slot m ~version in
+  if slot < 0 then Types.sgx_errorf "EWB: no free version-array slot (run EPA)";
   let plaintext = Page_data.to_bytes (Epc.data m.epc frame) in
   let sealed =
     Sim_crypto.Sealer.seal m.sealer
       ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
-      ~version plaintext
+      ~version:(Int64.of_int version) plaintext
   in
   let sw =
     {
@@ -255,39 +252,38 @@ let eldu m (enclave : Enclave.t) (sw : swapped) =
       enclave.id;
   Machine.charge m (cm.eldu + Metrics.Cost_model.hw_page_crypto cm);
   incr (Machine.hot m).Machine.c_eldu;
-  match Machine.read_va_slot m sw.sw_va_slot with
-  | None -> Error `Replayed
-  | Some expected -> (
+  let expected = Machine.read_va_slot m sw.sw_va_slot in
+  if expected < 0 then Error `Replayed
+  else
     match
       Sim_crypto.Sealer.unseal m.sealer
         ~vaddr:(Int64.of_int (Types.vaddr_of_vpage sw.sw_vpage))
-        ~expected_version:expected sw.sw_sealed
+        ~expected_version:(Int64.of_int expected) sw.sw_sealed
     with
     | Error Sim_crypto.Sealer.Mac_mismatch -> Error `Mac_mismatch
     | Error Sim_crypto.Sealer.Replayed -> Error `Replayed
-    | Ok plaintext -> (
-      match Epc.alloc m.epc with
-      | None -> Error `Epc_full
-      | Some frame ->
+    | Ok plaintext ->
+      let frame = Epc.alloc m.epc in
+      if frame < 0 then Error `Epc_full
+      else begin
         Epc.bind m.epc ~frame ~enclave_id:enclave.id ~vpage:sw.sw_vpage
           ~perms:sw.sw_perms ~ptype:sw.sw_ptype ~pending:false;
         Epc.set_data m.epc frame (Page_data.of_bytes plaintext);
         Machine.clear_va_slot m sw.sw_va_slot;
-        Ok frame))
+        Ok frame
+      end
 
 let seal_for_swap m (enclave : Enclave.t) ~vpage ~data ~perms ~ptype =
   if not (Enclave.contains_vpage enclave vpage) then
     Types.sgx_errorf "seal_for_swap: page 0x%x outside enclave %d" vpage enclave.id;
   let version = Machine.fresh_va_version m in
-  let slot =
-    match Machine.take_va_slot m ~version with
-    | Some slot -> slot
-    | None -> Types.sgx_errorf "seal_for_swap: no free version-array slot (run EPA)"
-  in
+  let slot = Machine.take_va_slot m ~version in
+  if slot < 0 then
+    Types.sgx_errorf "seal_for_swap: no free version-array slot (run EPA)";
   let sealed =
     Sim_crypto.Sealer.seal m.sealer
       ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
-      ~version
+      ~version:(Int64.of_int version)
       (Page_data.to_bytes data)
   in
   { sw_enclave_id = enclave.id; sw_vpage = vpage; sw_perms = perms;
@@ -301,14 +297,18 @@ let eaug m (enclave : Enclave.t) ~vpage =
     Types.sgx_errorf "EAUG: page 0x%x outside enclave %d" vpage enclave.id;
   if find_frame_packed m enclave ~vpage >= 0 then
     Types.sgx_errorf "EAUG: page 0x%x already resident" vpage;
-  match Epc.alloc m.epc with
-  | None -> Error `Epc_full
-  | Some frame ->
+  let frame = Epc.alloc m.epc in
+  if frame < 0 then Error `Epc_full
+  else begin
     Epc.bind m.epc ~frame ~enclave_id:enclave.id ~vpage ~perms:Types.perms_rw
       ~ptype:Types.Pt_reg ~pending:true;
+    (* A fresh zero page: the enclave may accept it as is and write
+       through it, so it must not be the EPC's shared free-frame page. *)
+    Epc.set_data m.epc frame (Page_data.create ());
     Machine.charge m cm.eaug;
     incr (Machine.hot m).Machine.c_eaug;
     Ok frame
+  end
 
 let eaccept m (enclave : Enclave.t) ~vpage =
   let cm = Machine.model m in

@@ -43,10 +43,12 @@ type t = {
   tlb : Tlb.t;
   sealer : Sim_crypto.Sealer.t;
   va_slots : Flat.t;
-  va_free : int Queue.t;
+  mutable va_free : int array;
+  mutable va_free_head : int;
+  mutable va_free_tail : int;
   mutable va_next_slot : int;
   mutable va_frames : Types.frame list;
-  mutable va_counter : int64;
+  mutable va_counter : int;
   mutable enclaves : Enclave.t list;
   mutable next_enclave_id : int;
   mutable next_base_vpage : Types.vpage;
@@ -60,6 +62,7 @@ type t = {
 }
 
 let branch_ring_capacity = 32
+let slots_per_va_page = 512
 
 let hot_counters_of counters =
   let cell = Metrics.Counters.cell counters in
@@ -102,10 +105,12 @@ let create ?(model = Metrics.Cost_model.default) ?(mode = Full_exits) ~epc_frame
     tlb = Tlb.create ();
     sealer = Sim_crypto.Sealer.create ~master_key:"sgx-epc-paging-key";
     va_slots = Flat.create ~size:4096 ();
-    va_free = Queue.create ();
+    va_free = Array.make slots_per_va_page 0;
+    va_free_head = 0;
+    va_free_tail = 0;
     va_next_slot = 0;
     va_frames = [];
-    va_counter = 0L;
+    va_counter = 0;
     enclaves = [];
     next_enclave_id = 1;
     (* Leave page 0 unused so a 0 vaddr is never a valid enclave address. *)
@@ -157,36 +162,57 @@ let register_enclave t ~size_pages ~self_paging =
 
 let enclave_by_id t id = List.find_opt (fun (e : Enclave.t) -> e.id = id) t.enclaves
 
+(* Versions are a monotonically increasing counter from 1: they fit a
+   native int, so neither the counter nor the slot store boxes them. *)
 let fresh_va_version t =
-  t.va_counter <- Int64.add t.va_counter 1L;
+  t.va_counter <- t.va_counter + 1;
   t.va_counter
 
-let slots_per_va_page = 512
+(* --- free-slot FIFO ring ----------------------------------------------- *)
 
-let free_va_slots t = Queue.length t.va_free
+(* A power-of-two int ring between absolute indices [head] and [tail],
+   doubled when full; the oldest free slot is taken first. *)
+let free_va_slots t = t.va_free_tail - t.va_free_head
+
+let va_push t slot =
+  let cap = Array.length t.va_free in
+  if free_va_slots t = cap then begin
+    let ring = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      ring.(i) <- t.va_free.((t.va_free_head + i) land (cap - 1))
+    done;
+    t.va_free <- ring;
+    t.va_free_head <- 0;
+    t.va_free_tail <- cap
+  end;
+  t.va_free.(t.va_free_tail land (Array.length t.va_free - 1)) <- slot;
+  t.va_free_tail <- t.va_free_tail + 1
+
+let iter_free_va_slots f t =
+  for i = t.va_free_head to t.va_free_tail - 1 do
+    f t.va_free.(i land (Array.length t.va_free - 1))
+  done
 
 let provision_va_page t ~frame =
   t.va_frames <- frame :: t.va_frames;
   for _ = 1 to slots_per_va_page do
-    Queue.push t.va_next_slot t.va_free;
+    va_push t t.va_next_slot;
     t.va_next_slot <- t.va_next_slot + 1
   done
 
 let take_va_slot t ~version =
-  match Queue.take_opt t.va_free with
-  | None -> None
-  | Some slot ->
-    (* Versions are a monotonically increasing counter from 1: they fit
-       a native int, so the slot store can be a flat int map. *)
-    Flat.set t.va_slots slot (Int64.to_int version);
-    Some slot
+  if free_va_slots t = 0 then -1
+  else begin
+    let slot = t.va_free.(t.va_free_head land (Array.length t.va_free - 1)) in
+    t.va_free_head <- t.va_free_head + 1;
+    Flat.set t.va_slots slot version;
+    slot
+  end
 
-let read_va_slot t slot =
-  let v = Flat.find t.va_slots slot in
-  if v >= 0 then Some (Int64.of_int v) else None
+let read_va_slot t slot = Flat.find t.va_slots slot
 
 let clear_va_slot t slot =
   if Flat.mem t.va_slots slot then begin
     Flat.remove t.va_slots slot;
-    Queue.push slot t.va_free
+    va_push t slot
   end

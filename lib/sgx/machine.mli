@@ -54,10 +54,14 @@ type t = {
      the OS with EPA.  A slot holds the version of one swapped-out page
      and is consumed by the ELDU that reloads it. *)
   va_slots : Flat.t;  (** occupied slot -> version (as a native int) *)
-  va_free : int Queue.t;
+  mutable va_free : int array;
+      (** free slots, oldest first, as a power-of-two ring between the
+          absolute indices [va_free_head] and [va_free_tail] *)
+  mutable va_free_head : int;
+  mutable va_free_tail : int;
   mutable va_next_slot : int;
   mutable va_frames : Types.frame list;
-  mutable va_counter : int64;
+  mutable va_counter : int;  (** last version handed out (from 1) *)
   mutable enclaves : Enclave.t list;
   mutable next_enclave_id : int;
   mutable next_base_vpage : Types.vpage;
@@ -105,17 +109,30 @@ val register_enclave : t -> size_pages:int -> self_paging:bool -> Enclave.t
 (** Allocate a fresh virtual region and enclave id (used by ECREATE). *)
 
 val enclave_by_id : t -> int -> Enclave.t option
-val fresh_va_version : t -> int64
 
-(** {1 Version-array slots} *)
+(** {1 Version-array slots}
+
+    Anti-replay versions count up from 1 in a native int; free slots
+    sit in a FIFO int ring and occupied ones in a {!Flat} map, so the
+    per-page EWB/ELDU calls below return plain ints ([-1] for none)
+    and allocate nothing. *)
+
+val fresh_va_version : t -> int
+(** The next version (1, 2, ...). *)
 
 val free_va_slots : t -> int
 val provision_va_page : t -> frame:Types.frame -> unit
 (** Register 512 fresh slots backed by [frame] (EPA's effect). *)
 
-val take_va_slot : t -> version:int64 -> int option
-(** Occupy a free slot with a version; [None] when no VA capacity. *)
+val take_va_slot : t -> version:int -> int
+(** Occupy the oldest free slot with a version and return it; [-1]
+    when no VA capacity is left. *)
 
-val read_va_slot : t -> int -> int64 option
+val read_va_slot : t -> int -> int
+(** The version held in a slot, or [-1] when the slot is free. *)
+
 val clear_va_slot : t -> int -> unit
 (** Release the slot for reuse (the reload consumed its version). *)
+
+val iter_free_va_slots : (int -> unit) -> t -> unit
+(** The free slots, in the order {!take_va_slot} will hand them out. *)

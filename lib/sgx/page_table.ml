@@ -65,13 +65,16 @@ let[@inline] find_packed t vp =
   let i = vp - t.base in
   if i >= 0 && i < Array.length t.tbl then Array.unsafe_get t.tbl i else no_pte
 
-let map t ~vpage ~frame ~perms ?(accessed = false) ?(dirty = false) () =
+let map_packed t ~vpage pte =
   if vpage < 0 then invalid_arg "Page_table.map: negative vpage";
-  if frame < 0 then invalid_arg "Page_table.map: negative frame";
+  if pte < 0 then invalid_arg "Page_table.map: negative frame";
   if vpage - t.base < 0 || vpage - t.base >= Array.length t.tbl then grow t vpage;
   let i = vpage - t.base in
   if t.tbl.(i) = no_pte then t.entries <- t.entries + 1;
-  t.tbl.(i) <- pack ~frame ~perms ~accessed ~dirty
+  t.tbl.(i) <- pte
+
+let map t ~vpage ~frame ~perms ?(accessed = false) ?(dirty = false) () =
+  map_packed t ~vpage (pack ~frame ~perms ~accessed ~dirty)
 
 let unmap t vpage =
   let i = vpage - t.base in

@@ -45,6 +45,10 @@ val map :
     (legacy OS behaviour); an Autarky-aware OS installs PTEs for
     self-paging enclaves with both set. *)
 
+val map_packed : t -> vpage:Types.vpage -> int -> unit
+(** [map] with the PTE already packed by {!pack}: no optional arguments
+    to box, for the kernel's per-fetch path.  Same validation. *)
+
 val unmap : t -> Types.vpage -> unit
 
 val find_packed : t -> Types.vpage -> int

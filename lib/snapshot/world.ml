@@ -85,9 +85,9 @@ let probe (m : Sgx.Machine.t) =
   Codec.write_tlb b m.Sgx.Machine.tlb;
   Codec.write_flat b m.Sgx.Machine.va_slots;
   Codec.W.int_ b m.Sgx.Machine.va_next_slot;
-  Codec.W.i64 b m.Sgx.Machine.va_counter;
-  Codec.W.u32 b (Queue.length m.Sgx.Machine.va_free);
-  Queue.iter (fun s -> Codec.W.int_ b s) m.Sgx.Machine.va_free;
+  Codec.W.i64 b (Int64.of_int m.Sgx.Machine.va_counter);
+  Codec.W.u32 b (Sgx.Machine.free_va_slots m);
+  Sgx.Machine.iter_free_va_slots (fun s -> Codec.W.int_ b s) m;
   Codec.W.int_ b m.Sgx.Machine.branch_cursor;
   Array.iter
     (fun (eid, vp) ->

@@ -64,3 +64,19 @@ let autarky_system ?(epc_frames = 256) ?(epc_limit = 128) ?(enclave_pages = 512)
 
 let legacy_system ?(epc_frames = 256) ?(epc_limit = 128) ?(enclave_pages = 512) () =
   Harness.System.create ~epc_frames ~epc_limit ~enclave_pages ~self_paging:false ()
+
+(* Words allocated by [f ()], minor and major heap together.  The minor
+   collection first keeps [f] from triggering one, whose promotions
+   would count as major allocation. *)
+let words_allocated f =
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  f ();
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0)
+
+(* The allocation checks hold for native code only: bytecode boxes
+   every [Int64] intermediate. *)
+let native = Sys.backend_type = Sys.Native

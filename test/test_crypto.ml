@@ -110,21 +110,8 @@ let test_chacha_matches_reference () =
            (Sim_crypto.Chacha20_ref.block ~key:k ~counter ~nonce)))
     [ 0l; 1l; 0x7FFFFFFFl; 0x80000000l; 0xFFFFFFFFl ]
 
-(* Words allocated by [f ()], minor and major heap together.  The minor
-   collection first keeps [f] from triggering one, whose promotions
-   would count as major allocation. *)
-let words_allocated f =
-  Gc.minor ();
-  let _, _, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  f ();
-  let minor1 = Gc.minor_words () in
-  let _, _, major1 = Gc.counters () in
-  minor1 -. minor0 +. (major1 -. major0)
-
-(* The allocation checks hold for native code only: bytecode boxes
-   every [Int64] intermediate. *)
-let native = Sys.backend_type = Sys.Native
+let words_allocated = Helpers.words_allocated
+let native = Helpers.native
 
 let test_chacha_allocates_only_output () =
   (* A loop that re-boxes its state allocates per block, so the words

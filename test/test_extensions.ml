@@ -143,7 +143,7 @@ let linked_component_system () =
       (Autarky.Clusters.ay_get_cluster_ids clusters (List.nth pages (c * 10)))
   done;
   checki "one 40-page fetch set" 40
-    (List.length (Autarky.Clusters.fetch_set clusters (List.hd pages)));
+    (Array.length (Autarky.Clusters.fetch_set clusters (List.hd pages)));
   checki "largest fetch set" 40 (Autarky.Clusters.largest_fetch_set clusters);
   Harness.System.manage sys pages;
   let pc = Autarky.Policy_clusters.create ~runtime:rt ~clusters in

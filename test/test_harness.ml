@@ -221,6 +221,38 @@ let test_perf_check_malformed () =
   Sys.remove file;
   checkb "missing file" false (Harness.Perf.check ~baseline:file ())
 
+(* With [alloc_ceiling], every cell is held to its baseline cell's
+   allocation within [tolerance], not only the matrix median. *)
+let test_perf_check_alloc_per_cell () =
+  let report alloc_b =
+    Printf.sprintf
+      {|{"schema": "autarky-perf/2", "quick": true, "seed": 1, "matrix": [
+  {"workload": "ycsb", "policy": "clusters", "mech": "sgx1", "ops": 10,
+   "accesses": 100, "modeled_cycles_per_access": 5.0, "page_faults": 3,
+   "wall_ns_per_access": 1.0, "alloc_bytes_per_access": 10.0},
+  {"workload": "ycsb", "policy": "rate-limit", "mech": "sgx1", "ops": 10,
+   "accesses": 100, "modeled_cycles_per_access": 5.0, "page_faults": 3,
+   "wall_ns_per_access": 1.0, "alloc_bytes_per_access": %g}]}|}
+      alloc_b
+  in
+  let write contents =
+    let file = Filename.temp_file "perf_check" ".json" in
+    let oc = open_out_bin file in
+    output_string oc contents;
+    close_out oc;
+    file
+  in
+  let base = write (report 100.0) in
+  let within = write (report 120.0) and over = write (report 130.0) in
+  let check against ?alloc_ceiling () =
+    Harness.Perf.check ~baseline:base ~against ~tolerance:0.25 ?alloc_ceiling ()
+  in
+  checkb "alloc informational without a ceiling" true (check over ());
+  checkb "cell within tolerance passes" true (check within ~alloc_ceiling:1000. ());
+  checkb "cell over tolerance fails under a passing median" false
+    (check over ~alloc_ceiling:1000. ());
+  List.iter Sys.remove [ base; within; over ]
+
 let suite =
   [
     ("reserve carving", `Quick, test_reserve_carving);
@@ -243,4 +275,5 @@ let suite =
     ("microjson int_ rejects non-integers", `Quick, test_microjson_int_exact);
     ("perf check fails cleanly on malformed input", `Quick,
      test_perf_check_malformed);
+    ("perf check gates alloc per cell", `Quick, test_perf_check_alloc_per_cell);
   ]

@@ -98,6 +98,54 @@ let test_fetch_evict_pages () =
   checkb "evicted" false (Sim_os.Kernel.resident os proc (vp proc 40));
   ignore m
 
+(* One steady-state SGXv1 page round trip through the kernel — EWB out
+   through [ay_evict_pages], ELDU back through [ay_fetch_page] — may
+   allocate what the sealer hands back and 14 fixed words (the EWB blob
+   record and its swap-store constructor, the fetch hook's one-element
+   list, ELDU's [Ok frame]), but no hash-table bucket, option, queue
+   cell or boxed [Int64] on top.  The sealer's share is measured
+   directly, with its [Int64] arguments boxed the same way. *)
+let test_swap_round_trip_allocation () =
+  if Helpers.native then begin
+    let _m, os, proc = setup ~self_paging:true () in
+    let p = vp proc 3 in
+    ignore (Sim_os.Kernel.ay_set_enclave_managed os proc [ p ]);
+    let victims = [ p ] in
+    let round () =
+      Sim_os.Kernel.ay_evict_pages os proc victims;
+      match Sim_os.Kernel.ay_fetch_page os proc p with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "fetch failed"
+    in
+    (* Warm up: the VA page, the swap index and the tables have grown. *)
+    for _ = 1 to 4 do round () done;
+    let kernel = Helpers.words_allocated round in
+    let sealer = Sim_crypto.Sealer.create ~master_key:"round-trip" in
+    let plain = Bytes.make !Page_data.payload_bytes '\000' in
+    let vaddr = Sys.opaque_identity (Types.vaddr_of_vpage p) in
+    let version = Sys.opaque_identity 5 in
+    let seal_unseal () =
+      let sealed =
+        Sim_crypto.Sealer.seal sealer ~vaddr:(Int64.of_int vaddr)
+          ~version:(Int64.of_int version) plain
+      in
+      match
+        Sim_crypto.Sealer.unseal sealer ~vaddr:(Int64.of_int vaddr)
+          ~expected_version:(Int64.of_int version) sealed
+      with
+      | Ok b -> ignore (Sys.opaque_identity b)
+      | Error _ -> Alcotest.fail "unseal failed"
+    in
+    (* Warm up: the first call sizes the sealer's MAC scratch buffer. *)
+    seal_unseal ();
+    let crypto = Helpers.words_allocated seal_unseal in
+    (* 7 (blob record) + 2 (V1) + 3 (hook list) + 2 (Ok frame). *)
+    checkb
+      (Printf.sprintf "%.0f words beyond the sealer's %.0f" (kernel -. crypto) crypto)
+      true
+      (kernel -. crypto <= 14.)
+  end
+
 let test_enclave_managed_pinned () =
   let _m, os, proc = setup ~self_paging:true ~epc_limit:8 ~enclave_pages:16 () in
   ignore (Sim_os.Kernel.ay_set_enclave_managed os proc [ vp proc 0; vp proc 1 ]);
@@ -220,6 +268,84 @@ let test_attacker_evict_breaks_contract () =
   Sim_os.Kernel.attacker_evict os proc (vp proc 0);
   checkb "forcibly evicted" false (Sim_os.Kernel.resident os proc (vp proc 0))
 
+(* --- the swap store against a Hashtbl model ---------------------------- *)
+
+type swap_op =
+  | Put of int * int  (* page, blob tag *)
+  | Replace of int * int
+  | Take of int
+  | Peek of int
+  | Mem of int
+  | Delete of int
+
+let swap_blob tag =
+  Sim_os.Swap_store.V2
+    { Sim_crypto.Sealer.ciphertext = Bytes.empty; mac = 0L; vaddr = 0L;
+      version = Int64.of_int tag }
+
+let swap_tag = function
+  | Sim_os.Swap_store.V2 s -> Int64.to_int s.Sim_crypto.Sealer.version
+  | Sim_os.Swap_store.V1 _ -> -1
+
+let gen_swap_op =
+  QCheck2.Gen.(
+    let page = int_bound 95 in
+    frequency
+      [ (4, map2 (fun p t -> Put (p, t)) page nat);
+        (1, map2 (fun p t -> Replace (p, t)) page nat);
+        (3, map (fun p -> Take p) page);
+        (1, map (fun p -> Peek p) page);
+        (1, map (fun p -> Mem p) page);
+        (1, map (fun p -> Delete p) page) ])
+
+(* Every operation's result, [size] and a probe of every page agree with
+   a [Hashtbl] holding the same bindings; enough pages to grow the slot
+   arrays past their initial 64. *)
+let swap_store_agrees ops =
+  let st = Sim_os.Swap_store.create () and model = Hashtbl.create 16 in
+  let tag_opt = Option.map swap_tag in
+  List.for_all
+    (fun op ->
+      let same =
+        match op with
+        | Put (p, t) ->
+          Sim_os.Swap_store.put st p (swap_blob t);
+          Hashtbl.replace model p t;
+          true
+        | Replace (p, t) ->
+          Sim_os.Swap_store.replace_raw st p (swap_blob t);
+          Hashtbl.replace model p t;
+          true
+        | Take p ->
+          let expect = Hashtbl.find_opt model p in
+          Hashtbl.remove model p;
+          tag_opt (Sim_os.Swap_store.take st p) = expect
+        | Peek p -> tag_opt (Sim_os.Swap_store.peek st p) = Hashtbl.find_opt model p
+        | Mem p -> Sim_os.Swap_store.mem st p = Hashtbl.mem model p
+        | Delete p ->
+          Sim_os.Swap_store.delete st p;
+          Hashtbl.remove model p;
+          true
+      in
+      same
+      && Sim_os.Swap_store.size st = Hashtbl.length model
+      && List.for_all
+           (fun p ->
+             let s = Sim_os.Swap_store.slot st p in
+             match Hashtbl.find_opt model p with
+             | None -> s = -1
+             | Some t -> s >= 0 && swap_tag (Sim_os.Swap_store.blob_at st s) = t)
+           (List.init 96 Fun.id))
+    ops
+
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck2.Test.make ~name:"swap store matches a Hashtbl model" ~count:300
+        QCheck2.Gen.(list_size (int_range 1 300) gen_swap_op)
+        swap_store_agrees;
+    ]
+
 let suite =
   [
     ("initial residency respects limit", `Quick, test_initial_residency_respects_limit);
@@ -229,6 +355,7 @@ let suite =
     ("set_enclave_managed reports residency", `Quick,
      test_set_enclave_managed_reports_residency);
     ("ay_fetch/evict pages", `Quick, test_fetch_evict_pages);
+    ("swap round trip allocates no boxes", `Quick, test_swap_round_trip_allocation);
     ("enclave-managed pages pinned", `Quick, test_enclave_managed_pinned);
     ("fetch fails when exhausted", `Quick, test_fetch_fails_when_exhausted);
     ("ay_aug/remove pages", `Quick, test_aug_remove_pages);
@@ -240,3 +367,4 @@ let suite =
     ("attacker A/D reading", `Quick, test_attacker_ad_reading);
     ("attacker evict breaks contract", `Quick, test_attacker_evict_breaks_contract);
   ]
+  @ qcheck_cases

@@ -12,8 +12,8 @@ let checki = Alcotest.(check int)
 let test_epc_alloc_release () =
   let epc = Epc.create ~frames:4 in
   checki "all free" 4 (Epc.free_frames epc);
-  let f1 = Option.get (Epc.alloc epc) in
-  let f2 = Option.get (Epc.alloc epc) in
+  let f1 = Epc.alloc epc in
+  let f2 = Epc.alloc epc in
   checkb "distinct" true (f1 <> f2);
   checki "two used" 2 (Epc.free_frames epc);
   Epc.release epc f1;
@@ -23,11 +23,11 @@ let test_epc_exhaustion () =
   let epc = Epc.create ~frames:2 in
   ignore (Epc.alloc epc);
   ignore (Epc.alloc epc);
-  checkb "exhausted" true (Epc.alloc epc = None)
+  checki "exhausted" (-1) (Epc.alloc epc)
 
 let test_epcm_bind_reverse () =
   let epc = Epc.create ~frames:4 in
-  let f = Option.get (Epc.alloc epc) in
+  let f = Epc.alloc epc in
   Epc.bind epc ~frame:f ~enclave_id:7 ~vpage:0x100 ~perms:Types.perms_rw
     ~ptype:Types.Pt_reg ~pending:false;
   checkb "reverse lookup" true (Epc.frame_of epc ~enclave_id:7 ~vpage:0x100 = Some f);
@@ -37,7 +37,7 @@ let test_epcm_bind_reverse () =
 
 let test_epcm_double_bind_rejected () =
   let epc = Epc.create ~frames:2 in
-  let f = Option.get (Epc.alloc epc) in
+  let f = Epc.alloc epc in
   Epc.bind epc ~frame:f ~enclave_id:1 ~vpage:1 ~perms:Types.perms_rw
     ~ptype:Types.Pt_reg ~pending:false;
   checkb "double bind raises" true
@@ -50,7 +50,7 @@ let test_epcm_double_bind_rejected () =
 let test_epc_frames_of_enclave () =
   let epc = Epc.create ~frames:8 in
   for i = 0 to 2 do
-    let f = Option.get (Epc.alloc epc) in
+    let f = Epc.alloc epc in
     Epc.bind epc ~frame:f ~enclave_id:3 ~vpage:i ~perms:Types.perms_rw
       ~ptype:Types.Pt_reg ~pending:false
   done;
@@ -433,12 +433,13 @@ let test_epa_capacity () =
   checki "no slots initially" 0 (Machine.free_va_slots m);
   (match Instructions.epa m with Ok _ -> () | Error _ -> Alcotest.fail "epa");
   checki "512 slots per VA page" 512 (Machine.free_va_slots m);
-  let slot = Option.get (Machine.take_va_slot m ~version:7L) in
-  checki "slot taken" 511 (Machine.free_va_slots m);
-  checkb "readable" true (Machine.read_va_slot m slot = Some 7L);
+  let slot = Machine.take_va_slot m ~version:7 in
+  checkb "slot taken" true (slot >= 0);
+  checki "one fewer free" 511 (Machine.free_va_slots m);
+  checki "readable" 7 (Machine.read_va_slot m slot);
   Machine.clear_va_slot m slot;
   checki "slot recycled" 512 (Machine.free_va_slots m);
-  checkb "cleared" true (Machine.read_va_slot m slot = None)
+  checki "cleared" (-1) (Machine.read_va_slot m slot)
 
 (* --- Instructions: SGXv2 dynamic memory ------------------------------- *)
 

@@ -113,6 +113,74 @@ let test_golden_trace_determinism () =
   checks "same seed, same digest" d1 d2;
   checks "pinned regression digest" pinned_digest d1
 
+(* The clusters policy on SGXv1: a 160-page allocator heap in clusters
+   of 8 against a 64-page budget, six pages each shared with the next
+   cluster (so the chains 0-1-2, 5-6, 11-12 and 16-17 make transitive
+   fetch sets), 400 seeded reads with one balloon upcall half-way.
+   Pages 0 and 40 are the lowest of their components, so they head the
+   FIFO after a fetch and their evict set — the later of their two
+   clusters — decides the victim.  Pins the fetch order, victim choice
+   and whole-cluster eviction the rate-limit scenario above never
+   reaches. *)
+let run_clusters_scenario () =
+  let sys =
+    Harness.System.create ~trace:true ~epc_frames:256 ~epc_limit:128
+      ~enclave_pages:1024 ~self_paging:true ~budget:64 ()
+  in
+  let tr = Harness.System.tracer_exn sys in
+  let dsink, dres = Trace.Sink.digest () in
+  Trace.Recorder.add_sink tr dsink;
+  let rt = Harness.System.runtime_exn sys in
+  let _resident_prefix = Harness.System.reserve sys ~pages:128 in
+  let heap = Harness.System.allocator sys ~pages:160 ~cluster_pages:8 in
+  let pages =
+    Array.init 160 (fun _ ->
+        Sgx.Types.vpage_of_vaddr
+          (Autarky.Allocator.alloc heap ~bytes:Sgx.Types.page_bytes))
+  in
+  let cl = Harness.System.clusters_of heap in
+  List.iter
+    (fun i ->
+      match Autarky.Clusters.ay_get_cluster_ids cl pages.(i + 8) with
+      | id :: _ -> Autarky.Clusters.ay_add_page cl ~cluster:id pages.(i)
+      | [] -> Alcotest.fail "heap page without a cluster")
+    [ 0; 3; 11; 40; 91; 130 ];
+  Harness.System.manage sys (Array.to_list pages);
+  let pc = Autarky.Policy_clusters.create ~runtime:rt ~clusters:cl in
+  Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
+  let rng = Metrics.Rng.create ~seed:13L in
+  let vm = Harness.System.vm sys () in
+  let reads n =
+    Harness.System.run_in_enclave sys (fun () ->
+        for _ = 1 to n do
+          vm.Workloads.Vm.read
+            (Sgx.Types.vaddr_of_vpage pages.(Metrics.Rng.int rng 160))
+        done)
+  in
+  Harness.System.mark sys "measurement-start";
+  reads 200;
+  ignore
+    (Sim_os.Kernel.request_balloon (Harness.System.os sys)
+       (Harness.System.proc sys) ~pages:16);
+  reads 200;
+  Harness.System.mark sys "measurement-end";
+  Trace.Recorder.close tr;
+  (sys, pc, dres ())
+
+(* Computed before the component-indexed Clusters rewrite and pinned:
+   the rewrite must not move a single cluster fetch or victim. *)
+let pinned_clusters_digest = "fnv64:2676e45afea6c80f"
+
+let test_golden_clusters_trace () =
+  let sys, pc, d1 = run_clusters_scenario () in
+  let _, _, d2 = run_clusters_scenario () in
+  let c name = Metrics.Counters.get (Harness.System.counters sys) name in
+  checkb "cluster fetches happened" true (Autarky.Policy_clusters.cluster_fetches pc > 50);
+  checkb "whole clusters evicted" true (c "rt.pages_evicted" > 100);
+  checki "one balloon upcall" 1 (c "os.balloon_requests");
+  checks "same seed, same digest" d1 d2;
+  checks "pinned clusters digest" pinned_clusters_digest d1
+
 let test_query_digest_matches_streaming () =
   let sys, _ = run_pinned_scenario () in
   let events = Trace.Recorder.events (Harness.System.tracer_exn sys) in
@@ -181,6 +249,7 @@ let suite =
     ("inactive recorder is silent", `Quick, test_inactive_recorder);
     ("canonical JSON well-formed", `Quick, test_json_well_formed);
     ("golden trace determinism", `Quick, test_golden_trace_determinism);
+    ("golden clusters trace", `Quick, test_golden_clusters_trace);
     ("query digest = streaming digest", `Quick, test_query_digest_matches_streaming);
     ("OS-visible projection", `Quick, test_os_projection);
     ("overlapping annotate rejected", `Quick, test_annotate_overlap_rejected);
