@@ -21,12 +21,30 @@ type t = {
   mutable hit_count : int;
   mutable miss_count : int;
   c_miss : Metrics.Counters.cell;
+  (* The cache page of the copy in flight, and the ORAM callbacks that
+     copy into and out of it: built once, so a miss allocates nothing. *)
+  page : Sgx.Page_data.t ref;
+  copy_in : Sgx.Page_data.t -> unit;
+  copy_out : Sgx.Page_data.t -> unit;
 }
+
+let blit_page ~src ~dst =
+  let s = Sgx.Page_data.to_bytes src and d = Sgx.Page_data.to_bytes dst in
+  let n = min (Bytes.length s) (Bytes.length d) in
+  Bytes.blit s 0 d 0 n
 
 let create ?(writeback = `Dirty_only) ~machine ~enclave ~touch ~oram
     ~data_base_vpage ~n_pages ~cache_base_vpage ~capacity_pages () =
-  assert (n_pages > 0 && capacity_pages > 0);
-  assert (n_pages <= Oram.Path_oram.n_blocks oram);
+  if n_pages <= 0 then
+    invalid_arg (Printf.sprintf "Oram_cache.create: n_pages %d is not positive" n_pages);
+  if capacity_pages <= 0 then
+    invalid_arg
+      (Printf.sprintf "Oram_cache.create: capacity_pages %d is not positive" capacity_pages);
+  if n_pages > Oram.Path_oram.n_blocks oram then
+    invalid_arg
+      (Printf.sprintf "Oram_cache.create: n_pages %d exceeds the ORAM's %d blocks" n_pages
+         (Oram.Path_oram.n_blocks oram));
+  let page = ref (Sgx.Page_data.create ()) in
   {
     machine;
     enclave;
@@ -47,6 +65,9 @@ let create ?(writeback = `Dirty_only) ~machine ~enclave ~touch ~oram
     hit_count = 0;
     miss_count = 0;
     c_miss = Metrics.Counters.cell (Sgx.Machine.counters machine) "oram_cache.miss";
+    page;
+    copy_in = (fun oram_data -> blit_page ~src:oram_data ~dst:!page);
+    copy_out = (fun oram_data -> blit_page ~src:!page ~dst:oram_data);
   }
 
 let in_data_region t vaddr =
@@ -58,23 +79,25 @@ let hits t = t.hit_count
 let misses t = t.miss_count
 let live_capacity t = t.live
 
+(* The frame lookup without {!Sgx.Instructions.page_data}'s option, so
+   the miss path does not allocate. *)
 let cache_page_data t slot =
-  match
-    Sgx.Instructions.page_data t.machine t.enclave ~vpage:(t.cache_base + slot)
-  with
-  | Some d -> d
-  | None ->
-    Sgx.Types.sgx_errorf "ORAM cache page %d (0x%x) is not resident" slot
-      (t.cache_base + slot)
+  let epc = t.machine.Sgx.Machine.epc in
+  let vpage = t.cache_base + slot in
+  let frame = Sgx.Epc.frame_of_packed epc ~enclave_id:t.enclave.Sgx.Enclave.id ~vpage in
+  if frame >= 0 then Sgx.Epc.data epc frame
+  else Sgx.Types.sgx_errorf "ORAM cache page %d (0x%x) is not resident" slot vpage
 
 let oblivious_copy_cost t =
   let m = Sgx.Machine.model t.machine in
   Sim_crypto.Oblivious.scan_cost m ~entries:1 ~entry_bytes:m.page_bytes
 
-let blit_page ~src ~dst =
-  let s = Sgx.Page_data.to_bytes src and d = Sgx.Page_data.to_bytes dst in
-  let n = min (Bytes.length s) (Bytes.length d) in
-  Bytes.blit s 0 d 0 n
+(* One oblivious page copy between cache page [data] and ORAM block
+   [block]: [t.copy_in] fetches the block, [t.copy_out] writes it back. *)
+let oram_copy t copy data block =
+  Sgx.Machine.charge t.machine (oblivious_copy_cost t);
+  t.page := data;
+  Oram.Path_oram.access t.oram ~block copy
 
 (* Swap a block into a cache slot: write the previous occupant back to
    the ORAM, then fetch the new block.  Each direction is an oblivious
@@ -85,16 +108,11 @@ let fill_slot t slot block =
   let cache_data = cache_page_data t slot in
   let old_block = t.slots.(slot) in
   if old_block >= 0 then begin
-    if t.writeback = `Always || t.dirty.(slot) then begin
-      Sgx.Machine.charge t.machine (oblivious_copy_cost t);
-      Oram.Path_oram.access t.oram ~block:old_block (fun oram_data ->
-          blit_page ~src:cache_data ~dst:oram_data)
-    end;
+    if t.writeback = `Always || t.dirty.(slot) then
+      oram_copy t t.copy_out cache_data old_block;
     t.slot_of.(old_block) <- -1
   end;
-  Sgx.Machine.charge t.machine (oblivious_copy_cost t);
-  Oram.Path_oram.access t.oram ~block (fun oram_data ->
-      blit_page ~src:oram_data ~dst:cache_data);
+  oram_copy t t.copy_in cache_data block;
   t.slots.(slot) <- block;
   t.dirty.(slot) <- false;
   t.slot_of.(block) <- slot
@@ -133,11 +151,8 @@ let shrink t ~pages =
     let slot = t.live - 1 in
     let block = t.slots.(slot) in
     if block >= 0 then begin
-      if t.writeback = `Always || t.dirty.(slot) then begin
-        Sgx.Machine.charge t.machine (oblivious_copy_cost t);
-        Oram.Path_oram.access t.oram ~block (fun oram_data ->
-            blit_page ~src:(cache_page_data t slot) ~dst:oram_data)
-      end;
+      if t.writeback = `Always || t.dirty.(slot) then
+        oram_copy t t.copy_out (cache_page_data t slot) block;
       t.slot_of.(block) <- -1;
       t.slots.(slot) <- -1;
       t.dirty.(slot) <- false
@@ -159,9 +174,7 @@ let flush t =
     let block = t.slots.(slot) in
     if block >= 0 then begin
       if t.writeback = `Always || t.dirty.(slot) then begin
-        Sgx.Machine.charge t.machine (oblivious_copy_cost t);
-        Oram.Path_oram.access t.oram ~block (fun oram_data ->
-            blit_page ~src:(cache_page_data t slot) ~dst:oram_data);
+        oram_copy t t.copy_out (cache_page_data t slot) block;
         incr written
       end;
       t.slot_of.(block) <- -1;

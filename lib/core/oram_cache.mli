@@ -28,7 +28,9 @@ val create :
 (** [touch] performs a hardware access to a cache page (wired to the CPU
     model by the harness); the cache pages
     [cache_base_vpage .. +capacity_pages) must be enclave-managed and
-    resident. *)
+    resident.
+    @raise Invalid_argument when [n_pages] or [capacity_pages] is not
+    positive, or [n_pages] exceeds the ORAM's block count. *)
 
 val in_data_region : t -> Sgx.Types.vaddr -> bool
 

@@ -1,13 +1,11 @@
 type metadata = [ `Direct | `Oblivious_scan ]
 
-(* Bucket slots and the stash hold payloads directly (a shared [dummy]
-   page stands in for "empty"): the option wrapper and the stash
-   hashtable of the original implementation allocated on every slot
-   move, which put the ORAM cells' allocation rate in the kilobytes per
-   access.  The stash is a dense pair of arrays plus a block -> index
-   map, so adds and removes are array stores. *)
-type slot = { mutable blk : int; mutable data : Sgx.Page_data.t }
-
+(* The tree and the stash hold block ids only; a block's payload stays
+   at [payload.(blk)] from its first access on, so moving a block
+   between the tree and the stash is one int store and never touches a
+   payload pointer.  Where a payload sits on the host is not part of
+   the model: the leaf trace, the placement and every charge depend on
+   the ids alone. *)
 type t = {
   clock : Metrics.Clock.t;
   rng : Metrics.Rng.t;
@@ -16,13 +14,14 @@ type t = {
   n_blocks : int;
   leaves : int;
   levels : int;
-  buckets : slot array array;
+  (* Bucket [b] (heap layout, root 0) owns slots [b*z, b*z + z); -1 is
+     an empty slot. *)
+  tree : int array;
   posmap : int array;
-  dummy : Sgx.Page_data.t;
-  (* Stash: entries [0, st_n) of [st_blk]/[st_data] are live;
-     [in_stash.(blk)] is the entry index or -1. *)
-  mutable st_blk : int array;
-  mutable st_data : Sgx.Page_data.t array;
+  payload : Sgx.Page_data.t array;
+  (* Stash: entries [0, st_n) of [stash] are live; [in_stash.(blk)] is
+     the entry index or -1. *)
+  mutable stash : int array;
   mutable st_n : int;
   in_stash : int array;
   stash_capacity : int;
@@ -34,18 +33,15 @@ type t = {
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 
 let create ~clock ~rng ?(z = 4) ?(metadata = `Direct) ~n_blocks () =
-  assert (n_blocks > 0 && z > 0);
+  if n_blocks <= 0 then
+    invalid_arg (Printf.sprintf "Path_oram.create: n_blocks %d is not positive" n_blocks);
+  if z <= 0 then invalid_arg (Printf.sprintf "Path_oram.create: z %d is not positive" z);
   let leaves = pow2_at_least (max 2 n_blocks) 1 in
   let levels =
     let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
     log2 leaves + 1
   in
   let bucket_count = (2 * leaves) - 1 in
-  let dummy = Sgx.Page_data.create () in
-  let buckets =
-    Array.init bucket_count (fun _ ->
-        Array.init z (fun _ -> { blk = -1; data = dummy }))
-  in
   let posmap = Array.init n_blocks (fun _ -> Metrics.Rng.int rng leaves) in
   {
     clock;
@@ -55,11 +51,11 @@ let create ~clock ~rng ?(z = 4) ?(metadata = `Direct) ~n_blocks () =
     n_blocks;
     leaves;
     levels;
-    buckets;
+    tree = Array.make (bucket_count * z) (-1);
     posmap;
-    dummy;
-    st_blk = Array.make 256 (-1);
-    st_data = Array.make 256 dummy;
+    (* Unread until a block's first access replaces its entry. *)
+    payload = Array.make n_blocks (Sgx.Page_data.create ());
+    stash = Array.make 256 (-1);
     st_n = 0;
     in_stash = Array.make n_blocks (-1);
     stash_capacity = 128;
@@ -77,48 +73,29 @@ let trace t = t.trace
 
 (* --- Stash ----------------------------------------------------------- *)
 
-let stash_grow t =
-  let cap = 2 * Array.length t.st_blk in
-  let blk = Array.make cap (-1) and data = Array.make cap t.dummy in
-  Array.blit t.st_blk 0 blk 0 t.st_n;
-  Array.blit t.st_data 0 data 0 t.st_n;
-  t.st_blk <- blk;
-  t.st_data <- data
-
-let stash_add t blk d =
-  match t.in_stash.(blk) with
-  | i when i >= 0 -> t.st_data.(i) <- d
-  | _ ->
-    if t.st_n = Array.length t.st_blk then stash_grow t;
-    t.st_blk.(t.st_n) <- blk;
-    t.st_data.(t.st_n) <- d;
-    t.in_stash.(blk) <- t.st_n;
-    t.st_n <- t.st_n + 1
+let stash_add t blk =
+  if t.st_n = Array.length t.stash then begin
+    let grown = Array.make (2 * t.st_n) (-1) in
+    Array.blit t.stash 0 grown 0 t.st_n;
+    t.stash <- grown
+  end;
+  t.stash.(t.st_n) <- blk;
+  t.in_stash.(blk) <- t.st_n;
+  t.st_n <- t.st_n + 1
 
 (* Swap-with-last removal: the caller scanning forward must re-examine
    index [i] afterwards. *)
 let stash_remove_at t i =
   let last = t.st_n - 1 in
-  t.in_stash.(t.st_blk.(i)) <- -1;
+  t.in_stash.(t.stash.(i)) <- -1;
   if i < last then begin
-    t.st_blk.(i) <- t.st_blk.(last);
-    t.st_data.(i) <- t.st_data.(last);
-    t.in_stash.(t.st_blk.(i)) <- i
+    let moved = t.stash.(last) in
+    t.stash.(i) <- moved;
+    t.in_stash.(moved) <- i
   end;
-  t.st_blk.(last) <- -1;
-  t.st_data.(last) <- t.dummy;
   t.st_n <- last
 
-(* --- Tree geometry --------------------------------------------------- *)
-
-(* Bucket index (heap layout) of the level-[v] node on the path to
-   [leaf]; level 0 is the root, level [levels-1] the leaf bucket.
-   Top-level recursion rather than a local ref: the walk runs once per
-   level per access and must not allocate. *)
-let rec bucket_up node steps =
-  if steps = 0 then node else bucket_up ((node - 1) / 2) (steps - 1)
-
-let bucket_at t ~leaf ~level = bucket_up (t.leaves - 1 + leaf) (t.levels - 1 - level)
+(* --- Costs ----------------------------------------------------------- *)
 
 let model t = Metrics.Clock.model t.clock
 
@@ -152,42 +129,43 @@ let access_cost t =
   in
   (2 * t.levels * t.z * slot_move_cost t) + metadata_cost t + eviction_scans
 
+(* --- Paths ----------------------------------------------------------- *)
+
+(* In 1-based heap numbering leaf [leaf] is node [leaves + leaf] and a
+   node's ancestor [k] levels up is the node shifted right by [k]: the
+   level-[l] bucket on the path to [leaf] is
+   [((leaves + leaf) lsr (levels - 1 - l)) - 1], and a block mapped to
+   leaf [p] may live there iff [(p lxor leaf) lsr (levels - 1 - l) = 0]. *)
+
 let read_path t leaf =
-  let cost = t.levels * t.z * slot_move_cost t in
-  Metrics.Clock.charge t.clock cost;
+  Metrics.Clock.charge t.clock (t.levels * t.z * slot_move_cost t);
   for level = 0 to t.levels - 1 do
-    let bucket = t.buckets.(bucket_at t ~leaf ~level) in
-    for s = 0 to Array.length bucket - 1 do
-      let slot = bucket.(s) in
-      if slot.blk >= 0 then begin
-        stash_add t slot.blk slot.data;
-        slot.blk <- -1;
-        slot.data <- t.dummy
+    let base = (((t.leaves + leaf) lsr (t.levels - 1 - level)) - 1) * t.z in
+    for s = base to base + t.z - 1 do
+      let blk = t.tree.(s) in
+      if blk >= 0 then begin
+        stash_add t blk;
+        t.tree.(s) <- -1
       end
     done
   done
 
-(* Greedily place stash blocks whose assigned leaf shares this bucket,
-   filling slots [0, z).  [i] re-examines its index after a removal
-   (swap-with-last).  Stash scan order replaces the old hashtable
-   iteration order; placement choice is unobservable (costs, traces and
-   retrievability do not depend on it). *)
-let rec place_level t bucket bucket_idx level placed i =
+(* Greedily place the first stash blocks eligible for the bucket whose
+   slots start at [base], filling slots [0, z).  [i] re-examines its
+   index after a removal (swap-with-last). *)
+let rec place_level t ~leaf ~shift ~base placed i =
   if placed < t.z && i < t.st_n then begin
-    let blk = t.st_blk.(i) in
-    if bucket_at t ~leaf:t.posmap.(blk) ~level = bucket_idx then begin
-      let s = bucket.(placed) in
-      s.blk <- blk;
-      s.data <- t.st_data.(i);
+    let blk = t.stash.(i) in
+    if (t.posmap.(blk) lxor leaf) lsr shift = 0 then begin
+      t.tree.(base + placed) <- blk;
       stash_remove_at t i;
-      place_level t bucket bucket_idx level (placed + 1) i
+      place_level t ~leaf ~shift ~base (placed + 1) i
     end
-    else place_level t bucket bucket_idx level placed (i + 1)
+    else place_level t ~leaf ~shift ~base placed (i + 1)
   end
 
 let write_path t leaf =
-  let cost = t.levels * t.z * slot_move_cost t in
-  Metrics.Clock.charge t.clock cost;
+  Metrics.Clock.charge t.clock (t.levels * t.z * slot_move_cost t);
   (* Without directly-addressable metadata, the greedy eviction must
      select blocks with one oblivious stash scan per bucket — the
      dominant cost of CMOV-based ORAM implementations. *)
@@ -200,8 +178,9 @@ let write_path t leaf =
       * Sim_crypto.Oblivious.scan_cost m ~entries:t.stash_capacity
           ~entry_bytes:m.page_bytes));
   for level = t.levels - 1 downto 0 do
-    let bucket_idx = bucket_at t ~leaf ~level in
-    place_level t t.buckets.(bucket_idx) bucket_idx level 0 0
+    let shift = t.levels - 1 - level in
+    let base = (((t.leaves + leaf) lsr shift) - 1) * t.z in
+    place_level t ~leaf ~shift ~base 0 0
   done
 
 let access t ~block f =
@@ -212,23 +191,18 @@ let access t ~block f =
   if t.tracing then t.trace <- leaf :: t.trace;
   t.posmap.(block) <- Metrics.Rng.int t.rng t.leaves;
   read_path t leaf;
-  let data =
-    match t.in_stash.(block) with
-    | i when i >= 0 -> t.st_data.(i)
-    | _ ->
-      (* First access to this block: materialize a zero page. *)
-      let d = Sgx.Page_data.create () in
-      stash_add t block d;
-      d
-  in
-  f data;
+  if t.in_stash.(block) < 0 then begin
+    (* First access to this block: materialize a zero page. *)
+    t.payload.(block) <- Sgx.Page_data.create ();
+    stash_add t block
+  end;
+  f t.payload.(block);
   write_path t leaf;
   Metrics.Counters.cell_incr t.c_access
 
 let read t ~block =
-  let out = ref (Sgx.Page_data.create ()) in
-  access t ~block (fun d -> out := Sgx.Page_data.copy d);
-  !out
+  access t ~block ignore;
+  Sgx.Page_data.copy t.payload.(block)
 
 let write t ~block data =
   access t ~block (fun d ->

@@ -17,10 +17,16 @@
        with CMOV-style constant-time selection (the CoSMIX baseline);
        the scan cost is charged on every access.}}
 
-    Block contents are stored as page payloads and charged the full
-    encrypt/decrypt cost per bucket slot moved; the cryptographic seal
-    itself is exercised separately (see {!Sim_crypto.Sealer}), keeping
-    the simulation fast without weakening what the experiments measure
+    Storage: the tree is one flat array of block ids, [z] slots per
+    bucket, and the stash is an id array; each block's payload is
+    materialised as a zero page on its first access and stays in one
+    host slot from then on.  Every bucket slot a path read or write
+    moves is still charged the full encrypt/decrypt cost; the
+    cryptographic seal itself is exercised separately (see
+    {!Sim_crypto.Sealer}).  A re-encrypted block changes only its
+    ciphertext and its place in the tree, and both are modelled (the
+    charges and the id's slot), so a payload that never moves keeps the
+    simulation fast without weakening what the experiments measure
     (the access-pattern and cycle-cost behaviour). *)
 
 type metadata = [ `Direct | `Oblivious_scan ]
@@ -31,7 +37,8 @@ val create :
   clock:Metrics.Clock.t -> rng:Metrics.Rng.t -> ?z:int ->
   ?metadata:metadata -> n_blocks:int -> unit -> t
 (** An ORAM able to hold [n_blocks] page-sized blocks ([z] defaults
-    to 4, metadata to [`Direct]). *)
+    to 4, metadata to [`Direct]).
+    @raise Invalid_argument when [n_blocks] or [z] is not positive. *)
 
 val n_blocks : t -> int
 val levels : t -> int

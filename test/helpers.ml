@@ -80,3 +80,14 @@ let words_allocated f =
 (* The allocation checks hold for native code only: bytecode boxes
    every [Int64] intermediate. *)
 let native = Sys.backend_type = Sys.Native
+
+(* [f ()] raises [Invalid_argument] with a message naming [naming]. *)
+let check_invalid_arg ~naming f =
+  match f () with
+  | _ -> Alcotest.failf "no Invalid_argument naming %s" naming
+  | exception Invalid_argument msg ->
+    let n = String.length naming in
+    let rec names i =
+      i + n <= String.length msg && (String.sub msg i n = naming || names (i + 1))
+    in
+    if not (names 0) then Alcotest.failf "Invalid_argument %S does not name %s" msg naming

@@ -130,6 +130,90 @@ let test_bounds_check () =
     (try Oram.Path_oram.access oram ~block:8 (fun _ -> ()); false
      with Invalid_argument _ -> true)
 
+let create_with ~n_blocks ~z () =
+  let clock = Metrics.Clock.create Metrics.Cost_model.default in
+  Oram.Path_oram.create ~clock ~rng:(Metrics.Rng.create ~seed:1L) ~z ~n_blocks ()
+
+let test_create_rejects_empty () =
+  Helpers.check_invalid_arg ~naming:"n_blocks" (create_with ~n_blocks:0 ~z:4)
+
+let test_create_rejects_zero_z () =
+  Helpers.check_invalid_arg ~naming:"z" (create_with ~n_blocks:8 ~z:0)
+
+(* --- Pinned placement ------------------------------------------------ *)
+
+(* Fixed-seed mixed read/write programs over small, odd-sized and
+   benchmark-sized trees, with one and four slots per bucket and both
+   metadata regimes.  Per access the digest folds in the leaf read, the
+   cycles charged, the stash size after write-back and the value read
+   back, which pins every Rng draw, every charge, and how many blocks
+   each eviction placed at each depth (a top-down eviction moves it).
+   Which of several eligible blocks a bucket took is not observable
+   through the interface: by the Path ORAM stash lemma the stash size
+   does not depend on it.  The constant was computed before the int-id
+   host layout and must not move with it. *)
+let placement_digest () =
+  let h = ref Trace.Fnv.empty in
+  let feed v = h := Trace.Fnv.feed_string !h (string_of_int v ^ ";") in
+  List.iter
+    (fun (n_blocks, z, metadata) ->
+      let clock = Metrics.Clock.create Metrics.Cost_model.default in
+      let rng = Metrics.Rng.create ~seed:(Int64.of_int ((n_blocks * 8) + z)) in
+      let oram = Oram.Path_oram.create ~clock ~rng ~z ~metadata ~n_blocks () in
+      Oram.Path_oram.set_tracing oram true;
+      let prog = Metrics.Rng.create ~seed:91L in
+      (* Half the accesses revisit a small hot set, so blocks come back
+         through the stash while the rest of the tree fills. *)
+      let hot = min n_blocks 24 in
+      for _ = 1 to (2 * n_blocks) + 300 do
+        let block =
+          if Metrics.Rng.bool prog then Metrics.Rng.int prog hot
+          else Metrics.Rng.int prog n_blocks
+        in
+        let value = if Metrics.Rng.bool prog then Metrics.Rng.int prog 1_000_000 else -1 in
+        let seen = ref 0 in
+        let before = Metrics.Clock.now clock in
+        Oram.Path_oram.access oram ~block (fun d ->
+            seen := Sgx.Page_data.read_int d;
+            if value >= 0 then Sgx.Page_data.fill_int d value);
+        (match Oram.Path_oram.trace oram with
+        | leaf :: _ -> feed leaf
+        | [] -> Alcotest.fail "access left no leaf");
+        feed (Metrics.Clock.now clock - before);
+        feed (Oram.Path_oram.stash_size oram);
+        feed !seen
+      done)
+    (List.concat_map
+       (fun n_blocks ->
+         List.concat_map
+           (fun z -> [ (n_blocks, z, `Direct); (n_blocks, z, `Oblivious_scan) ])
+           [ 1; 4 ])
+       [ 16; 65; 4_096 ]);
+  Trace.Fnv.to_hex !h
+
+let pinned_placement_digest = "fnv64:f5879202a5999155"
+
+let test_pinned_placement () =
+  Alcotest.(check string) "pinned placement digest" pinned_placement_digest
+    (placement_digest ())
+
+(* Once every block has been materialised, an access moves ids and
+   charges cycles: nothing on the host heap. *)
+let test_access_allocates_nothing () =
+  if Helpers.native then begin
+    let _, oram = make ~n_blocks:64 () in
+    let f d = ignore (Sys.opaque_identity d) in
+    for block = 0 to 63 do Oram.Path_oram.access oram ~block f done;
+    let rng = Metrics.Rng.create ~seed:8L in
+    let words =
+      Helpers.words_allocated (fun () ->
+          for _ = 1 to 500 do
+            Oram.Path_oram.access oram ~block:(Metrics.Rng.int rng 64) f
+          done)
+    in
+    Alcotest.(check (float 0.)) "words per 500 accesses" 0. words
+  end
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -174,5 +258,9 @@ let suite =
     ("remap per access", `Quick, test_remap_per_access);
     ("trace independent of pattern", `Quick, test_trace_independent_of_pattern);
     ("bounds check", `Quick, test_bounds_check);
+    ("create rejects n_blocks 0", `Quick, test_create_rejects_empty);
+    ("create rejects z 0", `Quick, test_create_rejects_zero_z);
+    ("pinned placement digest", `Quick, test_pinned_placement);
+    ("access allocates nothing", `Quick, test_access_allocates_nothing);
   ]
   @ qcheck_cases

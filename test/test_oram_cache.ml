@@ -112,6 +112,44 @@ let test_dirty_only_skips_clean_writebacks () =
   (* 16 misses, all clean: exactly 16 ORAM accesses. *)
   checki "one oram op per clean miss" 16 (List.length (Oram.Path_oram.trace oram))
 
+(* A steady-state dirty miss writes the evicted slot back to the ORAM
+   and fills the slot from it: two oblivious page copies through
+   callbacks built once per cache, and nothing on the host heap. *)
+let test_dirty_miss_allocates_nothing () =
+  if Helpers.native then begin
+    let _sys, cache, base, _ = setup ~data_pages:16 ~cache_pages:4 () in
+    let write i = Autarky.Oram_cache.access cache ((base + i) * page) Types.Write in
+    (* Warm up: every block materialised, every slot dirty. *)
+    for i = 0 to 31 do write (i mod 16) done;
+    let misses = Autarky.Oram_cache.misses cache in
+    let words = Helpers.words_allocated (fun () -> for i = 0 to 63 do write (i mod 16) done) in
+    checki "every access a dirty miss" (misses + 64) (Autarky.Oram_cache.misses cache);
+    Alcotest.(check (float 0.)) "words per 64 dirty misses" 0. words
+  end
+
+let create_with ~n_blocks ~n_pages ~capacity_pages () =
+  let sys = Helpers.autarky_system ~budget:64 () in
+  let oram =
+    Oram.Path_oram.create ~clock:(Harness.System.clock sys)
+      ~rng:(Metrics.Rng.create ~seed:1L) ~n_blocks ()
+  in
+  Autarky.Oram_cache.create ~machine:(Harness.System.machine sys)
+    ~enclave:(Harness.System.enclave sys) ~touch:(fun _ _ -> ()) ~oram
+    ~data_base_vpage:(Harness.System.reserve sys ~pages:1) ~n_pages
+    ~cache_base_vpage:(Harness.System.reserve sys ~pages:1) ~capacity_pages ()
+
+let test_create_rejects_empty_region () =
+  Helpers.check_invalid_arg ~naming:"n_pages"
+    (create_with ~n_blocks:8 ~n_pages:0 ~capacity_pages:1)
+
+let test_create_rejects_empty_cache () =
+  Helpers.check_invalid_arg ~naming:"capacity_pages"
+    (create_with ~n_blocks:8 ~n_pages:8 ~capacity_pages:0)
+
+let test_create_rejects_region_beyond_oram () =
+  Helpers.check_invalid_arg ~naming:"n_pages"
+    (create_with ~n_blocks:8 ~n_pages:9 ~capacity_pages:1)
+
 let test_policy_accessor_routing () =
   let sys, cache, base, _ = setup () in
   let rt = Harness.System.runtime_exn sys in
@@ -166,6 +204,11 @@ let suite =
     ("region check", `Quick, test_region_check);
     ("oram traffic data-independent (always)", `Quick, test_oram_traffic_data_independent);
     ("dirty-only skips clean writebacks", `Quick, test_dirty_only_skips_clean_writebacks);
+    ("dirty miss allocates nothing", `Quick, test_dirty_miss_allocates_nothing);
+    ("create rejects n_pages 0", `Quick, test_create_rejects_empty_region);
+    ("create rejects capacity_pages 0", `Quick, test_create_rejects_empty_cache);
+    ("create rejects n_pages beyond the ORAM", `Quick,
+     test_create_rejects_region_beyond_oram);
     ("policy accessor routing", `Quick, test_policy_accessor_routing);
     ("uncached accessor costs", `Quick, test_uncached_accessor_costs);
     ("oram policy terminates on pinned fault", `Quick,
