@@ -6,7 +6,7 @@ type t = {
   mutable next_fresh : Sgx.Types.vpage;
   mutable free_list : Sgx.Types.vpage list;
   mutable current_cluster : Clusters.cluster_id;
-  mutable in_use : (Sgx.Types.vpage, unit) Hashtbl.t;
+  in_use : Sgx.Flat.t;  (* vpage -> 1 while allocated *)
   (* bump state for object allocation *)
   mutable bump_page : Sgx.Types.vpage;
   mutable bump_off : int;
@@ -15,7 +15,9 @@ type t = {
 }
 
 let create ~clusters ~base_vpage ~pages ~cluster_pages =
-  assert (pages > 0 && cluster_pages > 0);
+  if pages <= 0 then invalid_arg "Allocator.create: pages must be positive";
+  if cluster_pages <= 0 then
+    invalid_arg "Allocator.create: cluster_pages must be positive";
   {
     clusters;
     base = base_vpage;
@@ -24,7 +26,7 @@ let create ~clusters ~base_vpage ~pages ~cluster_pages =
     next_fresh = base_vpage;
     free_list = [];
     current_cluster = Clusters.new_cluster clusters ~size:cluster_pages ();
-    in_use = Hashtbl.create 4096;
+    in_use = Sgx.Flat.create ();
     bump_page = -1;
     bump_off = 0;
     sparse = None;
@@ -33,10 +35,11 @@ let create ~clusters ~base_vpage ~pages ~cluster_pages =
 let clusters t = t.clusters
 let base_vpage t = t.base
 let end_vpage t = t.next_fresh
-let pages_in_use t = Hashtbl.length t.in_use
+let pages_in_use t = Sgx.Flat.length t.in_use
 
+(* [Flat.fold] visits ascending, so the consed list comes out reversed. *)
 let allocated_pages t =
-  Hashtbl.fold (fun vp () acc -> vp :: acc) t.in_use [] |> List.sort compare
+  List.rev (Sgx.Flat.fold (fun vp _ acc -> vp :: acc) t.in_use [])
 
 let alloc_page t =
   let vp =
@@ -53,11 +56,11 @@ let alloc_page t =
   if Clusters.size_of t.clusters t.current_cluster >= t.cluster_pages then
     t.current_cluster <- Clusters.new_cluster t.clusters ~size:t.cluster_pages ();
   Clusters.ay_add_page t.clusters ~cluster:t.current_cluster vp;
-  Hashtbl.replace t.in_use vp ();
+  Sgx.Flat.set t.in_use vp 1;
   vp
 
 let alloc t ~bytes =
-  assert (bytes > 0);
+  if bytes <= 0 then invalid_arg "Allocator.alloc: bytes must be positive";
   let page_bytes = Sgx.Types.page_bytes in
   if bytes >= page_bytes then begin
     (* Multi-page object: contiguous fresh pages, all in one cluster run. *)
@@ -83,8 +86,8 @@ let close_bump_page t =
   t.bump_off <- 0
 
 let free_page t vp =
-  if Hashtbl.mem t.in_use vp then begin
-    Hashtbl.remove t.in_use vp;
+  if Sgx.Flat.mem t.in_use vp then begin
+    Sgx.Flat.remove t.in_use vp;
     t.free_list <- vp :: t.free_list;
     let ids = Clusters.ay_get_cluster_ids t.clusters vp in
     List.iter (fun id -> Clusters.ay_remove_page t.clusters ~cluster:id vp) ids;

@@ -16,7 +16,9 @@ val create :
   clusters:Clusters.t -> base_vpage:Sgx.Types.vpage -> pages:int ->
   cluster_pages:int -> t
 (** Manage the region [\[base_vpage, base_vpage+pages)], clustering
-    allocated pages into clusters of [cluster_pages] pages. *)
+    allocated pages into clusters of [cluster_pages] pages.  Raises
+    [Invalid_argument] naming [pages] or [cluster_pages] unless it is
+    positive. *)
 
 val clusters : t -> Clusters.t
 (** The cluster registry this allocator populates. *)
@@ -27,7 +29,8 @@ val alloc_page : t -> Sgx.Types.vpage
 
 val alloc : t -> bytes:int -> Sgx.Types.vaddr
 (** Allocate an object of [bytes] bytes; sub-page objects never straddle
-    a page boundary. *)
+    a page boundary.  Raises [Invalid_argument] naming [bytes] unless it
+    is positive. *)
 
 val close_bump_page : t -> unit
 (** End the current partial object page: the next sub-page allocation

@@ -54,7 +54,7 @@ let create () =
     next_id = 0;
     live = 0;
     cl = Array.make 16 unused;
-    slot_of = Sgx.Flat.create ~size:64 ();
+    slot_of = Sgx.Flat.create ();
     ids = Array.make 64 [];
     mark = Array.make 64 0;
     free_slots = [];
@@ -78,7 +78,9 @@ let new_cluster t ?(size = 0) () =
   id
 
 let ay_init_clusters t ~n ~size =
-  assert (n > 0 && size > 0);
+  if n <= 0 then invalid_arg "Clusters.ay_init_clusters: n must be positive";
+  if size <= 0 then
+    invalid_arg "Clusters.ay_init_clusters: size must be positive";
   List.init n (fun _ -> new_cluster t ~size ())
 
 (* The arrays keep their capacity: each cluster id and page slot is
@@ -227,8 +229,9 @@ let capacity_of t id = (get t id).capacity
 let cluster_count t = t.live
 let registered t vpage = Sgx.Flat.mem t.slot_of vpage
 
+(* [Flat.fold] visits ascending, so the consed list comes out reversed. *)
 let registered_pages t =
-  Sgx.Flat.fold (fun vp _ acc -> vp :: acc) t.slot_of [] |> List.sort Int.compare
+  List.rev (Sgx.Flat.fold (fun vp _ acc -> vp :: acc) t.slot_of [])
 
 (* Both ids are checked before anything moves.  Pages move in [from]'s
    member order, so [into] ends up as it would after removing each page

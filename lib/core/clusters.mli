@@ -22,7 +22,8 @@ val create : unit -> t
 val ay_init_clusters : t -> n:int -> size:int -> cluster_id list
 (** Pre-create [n] empty clusters with a soft capacity of [size] pages
     each (capacity guides the automatic allocator; manual [ay_add_page]
-    may exceed it). *)
+    may exceed it).  Raises [Invalid_argument] naming [n] or [size]
+    unless it is positive. *)
 
 val ay_release_clusters : t -> unit
 (** Drop all clusters and registrations. *)

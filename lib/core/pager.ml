@@ -37,7 +37,7 @@ type t = {
 }
 
 let create ~machine ~enclave ~os ~mech ~budget =
-  assert (budget > 0);
+  if budget <= 0 then invalid_arg "Pager.create: budget must be positive";
   let cell = Metrics.Counters.cell (Sgx.Machine.counters machine) in
   {
     machine;
@@ -45,15 +45,15 @@ let create ~machine ~enclave ~os ~mech ~budget =
     os;
     pager_mech = mech;
     budget;
-    resident_set = Sgx.Flat.create ~size:4096 ();
-    fq_vp = Array.make 1024 0;
-    fq_seq = Array.make 1024 0;
+    resident_set = Sgx.Flat.create ();
+    fq_vp = Array.make 64 0;
+    fq_seq = Array.make 64 0;
     fq_head = 0;
     fq_tail = 0;
-    seq_of = Sgx.Flat.create ~size:4096 ();
+    seq_of = Sgx.Flat.create ();
     seq_counter = 0;
     sealer = Sim_crypto.Sealer.create ~master_key:"autarky-runtime-paging-key";
-    versions = Sgx.Flat.create ~size:4096 ();
+    versions = Sgx.Flat.create ();
     version_counter = 0;
     ev_pages = Array.make 64 0;
     ev_plain = Array.make 64 Bytes.empty;

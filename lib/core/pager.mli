@@ -24,7 +24,8 @@ val create :
   machine:Sgx.Machine.t -> enclave:Sgx.Enclave.t -> os:Os_iface.t ->
   mech:mech -> budget:int -> t
 (** [budget] is the maximum number of enclave-managed pages kept resident
-    at once. *)
+    at once.  Raises [Invalid_argument] naming [budget] unless it is
+    positive. *)
 
 val mech : t -> mech
 val budget : t -> int

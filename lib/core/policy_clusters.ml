@@ -52,7 +52,7 @@ let choose_victims t () =
   | Some vp -> resident_list pager (Clusters.evict_set t.cl vp)
 
 let create ~runtime ~clusters =
-  let in_fetch = Sgx.Flat.create ~size:64 () in
+  let in_fetch = Sgx.Flat.create () in
   let c_degraded =
     Metrics.Counters.cell
       (Sgx.Machine.counters (Runtime.machine runtime))
@@ -75,7 +75,7 @@ let create ~runtime ~clusters =
   t
 
 let set_min_budget t n =
-  assert (n > 0);
+  if n <= 0 then invalid_arg "Policy_clusters.set_min_budget: n must be positive";
   t.min_budget <- n
 
 let on_miss t vp _sf =

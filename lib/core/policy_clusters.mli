@@ -19,7 +19,8 @@ val set_min_budget : t -> int -> unit
     evicts whole clusters; the second and further ones also shrink the
     budget, counted in ["rt.policy_degraded"].  The shrink also stops
     at the largest cluster fetch set ({!Clusters.largest_fetch_set}), so
-    every fetch set still fits. *)
+    every fetch set still fits.  Raises [Invalid_argument] naming [n]
+    unless it is positive. *)
 
 val policy : t -> Runtime.policy
 val clusters : t -> Clusters.t

@@ -21,7 +21,7 @@
 
 type t = {
   runtime : Runtime.t;
-  set : (Sgx.Types.vpage, unit) Hashtbl.t;
+  set : Sgx.Flat.t;  (* vpage -> 1 for set members *)
   order : Sgx.Types.vpage Queue.t;  (* FIFO over set members *)
   mutable capacity : int;  (* max set size; shrinks under pressure *)
   mutable min_capacity : int;
@@ -38,14 +38,14 @@ let emit t k =
       ~enclave:(Runtime.enclave t.runtime).Sgx.Enclave.id
       ~actor:(Trace.Event.Policy "preload") (k ())
 
-let set_size t = Hashtbl.length t.set
+let set_size t = Sgx.Flat.length t.set
 let capacity t = t.capacity
 let preloads t = t.preloads
-let in_set t vp = Hashtbl.mem t.set vp
+let in_set t vp = Sgx.Flat.mem t.set vp
 
 let add_member t vp =
-  if not (Hashtbl.mem t.set vp) then begin
-    Hashtbl.replace t.set vp ();
+  if not (in_set t vp) then begin
+    Sgx.Flat.set t.set vp 1;
     Queue.push vp t.order
   end
 
@@ -55,7 +55,7 @@ let retire_oldest t =
   match Queue.take_opt t.order with
   | None -> ()
   | Some old ->
-    Hashtbl.remove t.set old;
+    Sgx.Flat.remove t.set old;
     let pager = Runtime.pager t.runtime in
     if Pager.resident pager old then Pager.evict pager [ old ]
 
@@ -104,7 +104,7 @@ let create ~runtime ?(min_capacity = 16) ~pages () =
   let t =
     {
       runtime;
-      set = Hashtbl.create (2 * max 16 n);
+      set = Sgx.Flat.create ();
       order = Queue.create ();
       capacity = max min_capacity n;
       min_capacity;

@@ -47,7 +47,12 @@ let victims t pager () =
 
 let create ~runtime ?(max_faults_per_unit = max_int) ?(evict_batch = 16)
     ?(eviction = `Fifo) ?(min_budget = 16) () =
-  assert (max_faults_per_unit > 0 && evict_batch > 0 && min_budget > 0);
+  if max_faults_per_unit <= 0 then
+    invalid_arg "Policy_rate_limit.create: max_faults_per_unit must be positive";
+  if evict_batch <= 0 then
+    invalid_arg "Policy_rate_limit.create: evict_batch must be positive";
+  if min_budget <= 0 then
+    invalid_arg "Policy_rate_limit.create: min_budget must be positive";
   let t =
     {
       runtime;
@@ -55,7 +60,7 @@ let create ~runtime ?(max_faults_per_unit = max_int) ?(evict_batch = 16)
       evict_batch;
       eviction;
       min_budget;
-      fault_counts = Sgx.Flat.create ~size:4096 ();
+      fault_counts = Sgx.Flat.create ();
       window = 0;
       total = 0;
       balloon_calls = 0;

@@ -31,7 +31,9 @@ val create :
     [min_budget] (default 16) is the floor the pager budget degrades
     toward under sustained memory-pressure upcalls: the first balloon
     call only evicts, the second and further ones also shrink the
-    budget (counted in ["rt.policy_degraded"]). *)
+    budget (counted in ["rt.policy_degraded"]).  Raises
+    [Invalid_argument] naming [max_faults_per_unit], [evict_batch] or
+    [min_budget] unless it is positive. *)
 
 val policy : t -> Runtime.policy
 (** Install with {!Runtime.set_policy}. *)

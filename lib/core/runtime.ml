@@ -151,7 +151,7 @@ let create ~machine ~enclave ~os ~mech ~budget =
       rt_enclave = enclave;
       rt_os = os;
       rt_pager = Pager.create ~machine ~enclave ~os ~mech ~budget;
-      enclave_managed = Sgx.Flat.create ~size:4096 ();
+      enclave_managed = Sgx.Flat.create ();
       rt_policy =
         { pol_name = "uninitialized"; pol_on_miss = (fun _ _ -> ());
           pol_balloon = (fun _ -> 0) };

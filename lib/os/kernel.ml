@@ -125,13 +125,13 @@ let create_proc t ~size_pages ~self_paging ~epc_limit =
       enclave;
       pt = Page_table.create ();
       proc_swap = Swap_store.create ();
-      enclave_managed = Flat.create ~size:1024 ();
-      intended_perms = Flat.create ~size:1024 ();
-      orq_vp = Array.make 1024 0;
-      orq_seq = Array.make 1024 0;
+      enclave_managed = Flat.create ();
+      intended_perms = Flat.create ();
+      orq_vp = Array.make 64 0;
+      orq_seq = Array.make 64 0;
       orq_head = 0;
       orq_tail = 0;
-      queue_seq = Flat.create ~size:1024 ();
+      queue_seq = Flat.create ();
       seq_counter = 0;
       resident_count = 0;
       epc_limit;
@@ -647,6 +647,7 @@ let release_proc t proc =
   (match proc.enclave.Enclave.state with
   | Enclave.Dead _ -> ()
   | _ -> proc.enclave.Enclave.state <- Enclave.Dead "released by OS");
+  Epc.drop_enclave t.machine.epc ~enclave_id:id;
   proc.resident_count <- 0;
   proc.balloon_handler <- None;
   Hashtbl.remove t.procs id

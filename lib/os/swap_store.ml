@@ -21,7 +21,7 @@ let init_slots = 64
 
 let create () =
   {
-    index = Sgx.Flat.create ~size:init_slots ();
+    index = Sgx.Flat.create ();
     blobs = Array.make init_slots vacant;
     free = Array.make init_slots 0;
     n_free = 0;

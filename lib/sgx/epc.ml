@@ -9,11 +9,15 @@ type epcm_entry = {
   mutable blocked : bool;
 }
 
-(* The reverse index (enclave page -> frame) keys a {!Flat} int map
-   with enclave id and vpage packed into one int; the free pool is an
-   int-array stack.  Both preserve the old structures' observable
-   order: the stack pops frames 0, 1, 2, ... initially and is LIFO on
-   release, exactly like the old cons-list free list.
+(* The reverse index (enclave page -> frame) is one {!Flat} window per
+   enclave, over that enclave's contiguous vpage range, in an array
+   indexed by enclave id.  Ids count up from 1, so the array costs an
+   empty window (five words) per enclave ever created; [drop_enclave]
+   swaps a released enclave's window for an empty one.  No two ids
+   share a window, not even an empty one, so a window restored from a
+   snapshot is as private as the one captured.  The free pool is an
+   int-array stack that pops frames 0, 1, 2, ... initially and is LIFO
+   on release, exactly like the old cons-list free list.
 
    Free frames all hold the one shared [zero] payload, so a release
    allocates nothing.  The instructions that bind a frame either install
@@ -26,10 +30,10 @@ type t = {
   zero : Page_data.t;
   free : int array;           (* free frames; top of stack at free_count-1 *)
   mutable free_count : int;
-  reverse : Flat.t;
+  mutable reverse : Flat.t array;  (* enclave id -> vpage -> frame *)
 }
 
-let reverse_key ~enclave_id ~vpage = (enclave_id lsl 40) lor vpage
+let windows n = Array.init n (fun _ -> Flat.create ())
 
 let empty_entry () =
   {
@@ -44,7 +48,7 @@ let empty_entry () =
   }
 
 let create ~frames =
-  assert (frames > 0);
+  if frames <= 0 then invalid_arg "Epc.create: frames must be positive";
   let zero = Page_data.create () in
   {
     entries = Array.init frames (fun _ -> empty_entry ());
@@ -53,7 +57,7 @@ let create ~frames =
     (* Arranged so the first pops yield frames 0, 1, 2, ... *)
     free = Array.init frames (fun i -> frames - 1 - i);
     free_count = frames;
-    reverse = Flat.create ~size:(2 * frames) ();
+    reverse = windows 8;
   }
 
 let total_frames t = Array.length t.entries
@@ -75,8 +79,8 @@ let release t frame =
   let e = t.entries.(frame) in
   (* VA pages are bound with [track_reverse:false] and a negative
      enclave id; they have no reverse entry to drop. *)
-  if e.valid && e.enclave_id >= 0 then
-    Flat.remove t.reverse (reverse_key ~enclave_id:e.enclave_id ~vpage:e.vpage);
+  if e.valid && e.enclave_id >= 0 && e.enclave_id < Array.length t.reverse then
+    Flat.remove t.reverse.(e.enclave_id) e.vpage;
   e.valid <- false;
   e.pending <- false;
   e.modified <- false;
@@ -88,8 +92,8 @@ let release t frame =
   t.free_count <- t.free_count + 1
 
 let frame_of_packed t ~enclave_id ~vpage =
-  if enclave_id < 0 || vpage < 0 then -1
-  else Flat.find t.reverse (reverse_key ~enclave_id ~vpage)
+  if enclave_id < 0 || enclave_id >= Array.length t.reverse then -1
+  else Flat.find (Array.unsafe_get t.reverse enclave_id) vpage
 
 let frame_of t ~enclave_id ~vpage =
   let f = frame_of_packed t ~enclave_id ~vpage in
@@ -113,4 +117,14 @@ let bind ?(track_reverse = true) t ~frame ~enclave_id ~vpage ~perms ~ptype ~pend
   e.pending <- pending;
   e.modified <- false;
   e.blocked <- false;
-  if track_reverse then Flat.set t.reverse (reverse_key ~enclave_id ~vpage) frame
+  if track_reverse then begin
+    let n = Array.length t.reverse in
+    if enclave_id >= n then
+      t.reverse <-
+        Array.append t.reverse (windows (max n (enclave_id + 1 - n)));
+    Flat.set t.reverse.(enclave_id) vpage frame
+  end
+
+let drop_enclave t ~enclave_id =
+  if enclave_id >= 0 && enclave_id < Array.length t.reverse then
+    t.reverse.(enclave_id) <- Flat.create ()

@@ -20,7 +20,8 @@ type epcm_entry = {
 type t
 
 val create : frames:int -> t
-(** An EPC with [frames] 4 KiB frames. *)
+(** An EPC with [frames] 4 KiB frames.  Raises [Invalid_argument]
+    naming [frames] unless it is positive. *)
 
 val total_frames : t -> int
 val free_frames : t -> int
@@ -38,7 +39,10 @@ val data : t -> Types.frame -> Page_data.t
 val set_data : t -> Types.frame -> Page_data.t -> unit
 
 val frame_of : t -> enclave_id:int -> vpage:Types.vpage -> Types.frame option
-(** Reverse lookup: the frame currently holding a given enclave page. *)
+(** Reverse lookup: the frame currently holding a given enclave page.
+    The reverse index is one {!Flat} window per enclave id, over that
+    enclave's own vpage range, so a page is never visible under another
+    enclave's id. *)
 
 val frame_of_packed : t -> enclave_id:int -> vpage:Types.vpage -> int
 (** {!frame_of} without the [option]: [-1] when the page is not
@@ -53,3 +57,8 @@ val bind :
 (** Record an EPCM entry for [frame] (used by EADD/EAUG/ELDU/EPA).
     [track_reverse:false] skips the enclave-page reverse index (VA pages
     belong to no enclave). *)
+
+val drop_enclave : t -> enclave_id:int -> unit
+(** Swap the enclave's reverse-index window for an empty one, freeing
+    the window's memory.  For the OS tearing a process down, once the
+    enclave holds no frame; ids never bound are ignored. *)

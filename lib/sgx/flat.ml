@@ -1,179 +1,103 @@
-(* Open-addressing int -> int hash map for the simulator's hot paths.
+(* Window map: int -> int over one contiguous key range.
 
-   Keys and values must be non-negative; [find] returns [-1] for an
-   absent key so lookups never allocate an [option].  Deletion uses
-   tombstones; the table rehashes when live + dead slots would push the
-   load factor past 3/4, which also reclaims tombstones.  Linear
-   probing over a power-of-two table with a multiplicative hash. *)
+   The store is a dense array over the keys [base, base + Array.length
+   vals); a slot holds the key's value, or [absent] (-1) when unbound,
+   so values must be non-negative.  Every table keyed by an enclave's
+   vpages spans one contiguous region, so the window stays tight and a
+   lookup is one bounds check and one load.  The window grows (with
+   slack, at least doubling) toward a key that lands outside it. *)
 
 type t = {
-  mutable keys : int array; (* key, or empty / tombstone below *)
-  mutable vals : int array;
-  mutable mask : int;       (* Array.length keys - 1 *)
-  mutable live : int;
-  mutable tombs : int;
+  mutable base : int;       (* key of slot 0 *)
+  mutable vals : int array; (* value, or [absent] *)
+  mutable live : int;       (* slots holding a value *)
 }
 
-let empty_slot = -1
-let tomb_slot = -2
-
 let absent = -1
+let slack = 64
 
-(* Fibonacci-style multiplicative mix; OCaml's native ints wrap, which
-   is exactly what we want. *)
-let[@inline] mix k mask = ((k * 0x2545F4914F6CDD1D) lxor (k lsr 13)) land mask
-
-let rec pow2 n i = if i >= n then i else pow2 n (i * 2)
-
-let create ?(size = 16) () =
-  let cap = pow2 (max 8 size) 8 in
-  {
-    keys = Array.make cap empty_slot;
-    vals = Array.make cap 0;
-    mask = cap - 1;
-    live = 0;
-    tombs = 0;
-  }
+let create () = { base = 0; vals = [||]; live = 0 }
 
 let length t = t.live
 
-(* Slot holding [k], or -1 when absent. *)
-let lookup t k =
-  let keys = t.keys and mask = t.mask in
-  let i = ref (mix k mask) in
-  let res = ref (-2) in
-  while !res = -2 do
-    let s = !i in
-    let key = Array.unsafe_get keys s in
-    if key = k then res := s
-    else if key = empty_slot then res := -1
-    else i := (s + 1) land mask
-  done;
-  !res
+(* Grow the window to cover [k], at least doubling it.  The new room
+   goes on the side [k] lies on, so keys arriving in descending order
+   grow it as cheaply as ascending ones. *)
+let grow t k =
+  let len = Array.length t.vals in
+  if len = 0 then begin
+    t.base <- max 0 (k - slack);
+    t.vals <- Array.make (2 * slack) absent
+  end
+  else begin
+    let top = t.base + len in
+    let base, n =
+      if k < t.base then
+        let n = max (2 * len) (top - k + slack) in
+        (max 0 (top - n), n)
+      else (t.base, max (2 * len) (k + 1 + slack - t.base))
+    in
+    let vals = Array.make n absent in
+    Array.blit t.vals 0 vals (t.base - base) len;
+    t.base <- base;
+    t.vals <- vals
+  end
 
-let mem t k = lookup t k >= 0
+let[@inline] find t k =
+  let i = k - t.base in
+  if i >= 0 && i < Array.length t.vals then Array.unsafe_get t.vals i else absent
 
-let find t k =
-  let s = lookup t k in
-  if s >= 0 then Array.unsafe_get t.vals s else absent
+let mem t k = find t k <> absent
 
 let find_default t k d =
-  let s = lookup t k in
-  if s >= 0 then Array.unsafe_get t.vals s else d
-
-(* Insert a key known to be absent; the caller maintains load factor. *)
-let insert_fresh keys vals mask k v =
-  let i = ref (mix k mask) in
-  let continue = ref true in
-  while !continue do
-    let s = !i in
-    let key = Array.unsafe_get keys s in
-    if key = empty_slot || key = tomb_slot then begin
-      Array.unsafe_set keys s k;
-      Array.unsafe_set vals s v;
-      continue := false
-    end
-    else i := (s + 1) land mask
-  done
-
-let resize t cap =
-  let keys = Array.make cap empty_slot in
-  let vals = Array.make cap 0 in
-  let mask = cap - 1 in
-  let old_keys = t.keys and old_vals = t.vals in
-  for s = 0 to Array.length old_keys - 1 do
-    let k = Array.unsafe_get old_keys s in
-    if k >= 0 then insert_fresh keys vals mask k (Array.unsafe_get old_vals s)
-  done;
-  t.keys <- keys;
-  t.vals <- vals;
-  t.mask <- mask;
-  t.tombs <- 0
-
-let maybe_grow t =
-  let cap = t.mask + 1 in
-  if 4 * (t.live + t.tombs + 1) > 3 * cap then
-    resize t (if 4 * (t.live + 1) > 2 * cap then 2 * cap else cap)
+  let v = find t k in
+  if v = absent then d else v
 
 let set t k v =
   if k < 0 then invalid_arg "Flat.set: negative key";
-  let s = lookup t k in
-  if s >= 0 then t.vals.(s) <- v
-  else begin
-    maybe_grow t;
-    (* Reuse the first tombstone on the probe path if there is one. *)
-    let keys = t.keys and mask = t.mask in
-    let i = ref (mix k mask) in
-    let continue = ref true in
-    while !continue do
-      let sl = !i in
-      let key = Array.unsafe_get keys sl in
-      if key = empty_slot || key = tomb_slot then begin
-        if key = tomb_slot then t.tombs <- t.tombs - 1;
-        Array.unsafe_set keys sl k;
-        Array.unsafe_set t.vals sl v;
-        t.live <- t.live + 1;
-        continue := false
-      end
-      else i := (sl + 1) land mask
-    done
-  end
+  if v < 0 then invalid_arg "Flat.set: negative value";
+  if k - t.base < 0 || k - t.base >= Array.length t.vals then grow t k;
+  let i = k - t.base in
+  if Array.unsafe_get t.vals i = absent then t.live <- t.live + 1;
+  Array.unsafe_set t.vals i v
 
 let remove t k =
-  let s = lookup t k in
-  if s >= 0 then begin
-    t.keys.(s) <- tomb_slot;
-    t.live <- t.live - 1;
-    t.tombs <- t.tombs + 1
+  let i = k - t.base in
+  if i >= 0 && i < Array.length t.vals && Array.unsafe_get t.vals i <> absent
+  then begin
+    Array.unsafe_set t.vals i absent;
+    t.live <- t.live - 1
   end
 
 let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty_slot;
-  t.live <- 0;
-  t.tombs <- 0
-
-(* Raw snapshot of the physical table.  The layout — slot positions,
-   tombstones, capacity — is part of the state: re-inserting live
-   bindings into a fresh table would change future probe sequences and
-   rehash points, which is invisible to [find]/[set] but visible to
-   anything hashing the arrays (snapshot probe digests). *)
-type raw = {
-  raw_keys : int array;
-  raw_vals : int array;
-  raw_live : int;
-  raw_tombs : int;
-}
-
-let export_state t =
-  {
-    raw_keys = Array.copy t.keys;
-    raw_vals = Array.copy t.vals;
-    raw_live = t.live;
-    raw_tombs = t.tombs;
-  }
-
-let import_state r =
-  let cap = Array.length r.raw_keys in
-  if cap < 8 || cap land (cap - 1) <> 0 then
-    invalid_arg "Flat.import_state: capacity not a power of two";
-  if Array.length r.raw_vals <> cap then
-    invalid_arg "Flat.import_state: keys/vals length mismatch";
-  {
-    keys = Array.copy r.raw_keys;
-    vals = Array.copy r.raw_vals;
-    mask = cap - 1;
-    live = r.raw_live;
-    tombs = r.raw_tombs;
-  }
+  Array.fill t.vals 0 (Array.length t.vals) absent;
+  t.live <- 0
 
 let iter f t =
-  let keys = t.keys and vals = t.vals in
-  for s = 0 to Array.length keys - 1 do
-    let k = Array.unsafe_get keys s in
-    if k >= 0 then f k (Array.unsafe_get vals s)
+  let base = t.base and vals = t.vals in
+  for i = 0 to Array.length vals - 1 do
+    let v = Array.unsafe_get vals i in
+    if v <> absent then f (base + i) v
   done
 
 let fold f t init =
   let acc = ref init in
   iter (fun k v -> acc := f k v !acc) t;
   !acc
+
+(* Raw snapshot: window base + value array verbatim.  The geometry
+   decides nothing observable except when the next [grow] fires, but the
+   probe digest hashes the array, so it is preserved as-is. *)
+type raw = { raw_base : int; raw_vals : int array }
+
+let export_state t = { raw_base = t.base; raw_vals = Array.copy t.vals }
+
+let import_state r =
+  if r.raw_base < 0 then invalid_arg "Flat.import_state: negative base";
+  let live = ref 0 in
+  Array.iter
+    (fun v ->
+      if v < absent then invalid_arg "Flat.import_state: negative value";
+      if v <> absent then incr live)
+    r.raw_vals;
+  { base = r.raw_base; vals = Array.copy r.raw_vals; live = !live }

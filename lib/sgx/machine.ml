@@ -49,7 +49,6 @@ type t = {
   mutable va_next_slot : int;
   mutable va_frames : Types.frame list;
   mutable va_counter : int;
-  mutable enclaves : Enclave.t list;
   mutable next_enclave_id : int;
   mutable next_base_vpage : Types.vpage;
   mutable mode : transition_mode;
@@ -104,14 +103,13 @@ let create ?(model = Metrics.Cost_model.default) ?(mode = Full_exits) ~epc_frame
     epc = Epc.create ~frames:epc_frames;
     tlb = Tlb.create ();
     sealer = Sim_crypto.Sealer.create ~master_key:"sgx-epc-paging-key";
-    va_slots = Flat.create ~size:4096 ();
+    va_slots = Flat.create ();
     va_free = Array.make slots_per_va_page 0;
     va_free_head = 0;
     va_free_tail = 0;
     va_next_slot = 0;
     va_frames = [];
     va_counter = 0;
-    enclaves = [];
     next_enclave_id = 1;
     (* Leave page 0 unused so a 0 vaddr is never a valid enclave address. *)
     next_base_vpage = 0x10000;
@@ -156,11 +154,7 @@ let register_enclave t ~size_pages ~self_paging =
   let base_vpage = t.next_base_vpage in
   (* Pad regions apart so out-of-range accesses are obvious bugs. *)
   t.next_base_vpage <- base_vpage + size_pages + 0x1000;
-  let enclave = Enclave.create ~id ~base_vpage ~size_pages ~self_paging () in
-  t.enclaves <- enclave :: t.enclaves;
-  enclave
-
-let enclave_by_id t id = List.find_opt (fun (e : Enclave.t) -> e.id = id) t.enclaves
+  Enclave.create ~id ~base_vpage ~size_pages ~self_paging ()
 
 (* Versions are a monotonically increasing counter from 1: they fit a
    native int, so neither the counter nor the slot store boxes them. *)

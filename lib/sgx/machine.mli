@@ -1,6 +1,8 @@
 (** The simulated platform: one CPU package with its EPC, TLB, paging
-    keys and anti-replay version store, shared clock, and the registry of
-    enclaves it hosts. *)
+    keys and anti-replay version store, shared clock, and the id and
+    address allocator for the enclaves it hosts.  It keeps no reference
+    to an enclave: a released enclave is collectable once its process is
+    gone. *)
 
 (** How fault delivery transitions are performed — the three
     configurations of the paper's Table 2 and §5.1.3:
@@ -62,7 +64,6 @@ type t = {
   mutable va_next_slot : int;
   mutable va_frames : Types.frame list;
   mutable va_counter : int;  (** last version handed out (from 1) *)
-  mutable enclaves : Enclave.t list;
   mutable next_enclave_id : int;
   mutable next_base_vpage : Types.vpage;
   mutable mode : transition_mode;
@@ -107,8 +108,6 @@ val trace_access : Types.access_kind -> Trace.Event.access
 
 val register_enclave : t -> size_pages:int -> self_paging:bool -> Enclave.t
 (** Allocate a fresh virtual region and enclave id (used by ECREATE). *)
-
-val enclave_by_id : t -> int -> Enclave.t option
 
 (** {1 Version-array slots}
 

@@ -100,18 +100,14 @@ let check_tag r expected name =
 let write_flat b t =
   let r = Sgx.Flat.export_state t in
   W.u8 b tag_flat;
-  W.int_array b r.Sgx.Flat.raw_keys;
-  W.int_array b r.Sgx.Flat.raw_vals;
-  W.int_ b r.Sgx.Flat.raw_live;
-  W.int_ b r.Sgx.Flat.raw_tombs
+  W.int_ b r.Sgx.Flat.raw_base;
+  W.int_array b r.Sgx.Flat.raw_vals
 
 let read_flat r =
   check_tag r tag_flat "read_flat";
-  let raw_keys = R.int_array r in
+  let raw_base = R.int_ r in
   let raw_vals = R.int_array r in
-  let raw_live = R.int_ r in
-  let raw_tombs = R.int_ r in
-  Sgx.Flat.import_state { Sgx.Flat.raw_keys; raw_vals; raw_live; raw_tombs }
+  Sgx.Flat.import_state { Sgx.Flat.raw_base; raw_vals }
 
 let write_tlb b t =
   let r = Sgx.Tlb.export_state t in

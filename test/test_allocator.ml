@@ -176,8 +176,25 @@ let qcheck_cases =
             sizes);
     ]
 
+(* --- argument checks ---------------------------------------------- *)
+
+let test_create_rejects_pages () =
+  Helpers.check_invalid_arg ~naming:": pages must" (fun () -> make ~pages:0 ())
+
+let test_create_rejects_cluster_pages () =
+  Helpers.check_invalid_arg ~naming:"cluster_pages" (fun () ->
+      make ~cluster_pages:0 ())
+
+let test_alloc_rejects_bytes () =
+  let a, _ = make () in
+  Helpers.check_invalid_arg ~naming:"bytes" (fun () ->
+      Autarky.Allocator.alloc a ~bytes:0)
+
 let suite =
   [
+    ("create rejects zero pages", `Quick, test_create_rejects_pages);
+    ("create rejects zero cluster_pages", `Quick, test_create_rejects_cluster_pages);
+    ("alloc rejects zero bytes", `Quick, test_alloc_rejects_bytes);
     ("alloc pages sequential", `Quick, test_alloc_pages_sequential);
     ("auto clustering", `Quick, test_auto_clustering);
     ("objects never straddle", `Quick, test_object_allocation_no_straddle);

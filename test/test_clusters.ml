@@ -17,6 +17,14 @@ let test_init_release () =
   Autarky.Clusters.ay_release_clusters t;
   checki "released" 0 (Autarky.Clusters.cluster_count t)
 
+let test_init_rejects_n () =
+  Helpers.check_invalid_arg ~naming:": n must" (fun () ->
+      Autarky.Clusters.ay_init_clusters (Autarky.Clusters.create ()) ~n:0 ~size:8)
+
+let test_init_rejects_size () =
+  Helpers.check_invalid_arg ~naming:"size" (fun () ->
+      Autarky.Clusters.ay_init_clusters (Autarky.Clusters.create ()) ~n:4 ~size:0)
+
 let test_add_remove_page () =
   let t = Autarky.Clusters.create () in
   let c = Autarky.Clusters.new_cluster t () in
@@ -388,6 +396,8 @@ let qcheck_cases =
 let suite =
   [
     ("init/release", `Quick, test_init_release);
+    ("init rejects zero n", `Quick, test_init_rejects_n);
+    ("init rejects zero size", `Quick, test_init_rejects_size);
     ("add/remove page", `Quick, test_add_remove_page);
     ("add idempotent", `Quick, test_add_idempotent);
     ("shared pages", `Quick, test_shared_pages);

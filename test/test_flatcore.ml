@@ -233,7 +233,7 @@ let test_tlb_eviction_scripted () =
 let flat_domain = 128
 
 let flat_property ops =
-  let flat = Flat.create ~size:8 () in    (* small: forces regrowth *)
+  let flat = Flat.create () in
   let oracle = Hashtbl.create 16 in
   List.for_all
     (fun (op, k, v) ->
@@ -273,6 +273,140 @@ let test_flat_negative_key_rejected () =
   checkb "set rejects negative" true
     (try Flat.set flat (-1) 0; false with Invalid_argument _ -> true)
 
+let test_flat_negative_value_rejected () =
+  let flat = Flat.create () in
+  Helpers.check_invalid_arg ~naming:"negative value" (fun () ->
+      Flat.set flat 3 Flat.absent);
+  checkb "nothing bound" true (Flat.length flat = 0 && not (Flat.mem flat 3))
+
+(* --- Flat windows away from 0 ---------------------------------------- *)
+
+(* Keys come from [base, base + span), with [base] up to 2^20 and the
+   first key in the middle, so the window starts far from 0 and grows
+   downward as well as upward.  The map, and its codec round trip, must
+   agree with a Hashtbl on every key in and just around the range, and
+   fold must visit keys in ascending order. *)
+let window_gen =
+  QCheck2.Gen.(
+    let* base = int_range 0 (1 lsl 20) in
+    let* span = int_range 1 4096 in
+    let* ops =
+      list_size (int_range 1 200)
+        (triple (int_range 0 3) (int_range 0 (span - 1)) (int_range 0 0xFFFFF))
+    in
+    return (base, span, ops))
+
+let window_print (base, span, ops) =
+  Printf.sprintf "base=%d span=%d ops=%d" base span (List.length ops)
+
+let window_property (base, span, ops) =
+  let flat = Flat.create () in
+  let oracle = Hashtbl.create 64 in
+  let set k v =
+    Flat.set flat k v;
+    Hashtbl.replace oracle k v
+  in
+  set (base + (span / 2)) 0;
+  List.iter
+    (fun (op, off, v) ->
+      let k = base + off in
+      if op < 3 then set k v
+      else begin
+        Flat.remove flat k;
+        Hashtbl.remove oracle k
+      end)
+    ops;
+  let agrees t =
+    Flat.length t = Hashtbl.length oracle
+    &&
+    let ok = ref true in
+    for k = base - 1 to base + span do
+      let expect =
+        Option.value (Hashtbl.find_opt oracle k) ~default:Flat.absent
+      in
+      ok :=
+        !ok
+        && Flat.find t k = expect
+        && Flat.mem t k = (expect <> Flat.absent)
+        && Flat.find_default t k (-7) = if expect = Flat.absent then -7 else expect
+    done;
+    !ok
+  in
+  let visited = List.rev (Flat.fold (fun k _ acc -> k :: acc) flat []) in
+  let b = Buffer.create 256 in
+  Snapshot.Codec.write_flat b flat;
+  let copy =
+    Snapshot.Codec.read_flat (Snapshot.Codec.R.of_string (Buffer.contents b))
+  in
+  agrees flat
+  && visited = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) oracle [])
+  && Flat.export_state copy = Flat.export_state flat
+  && agrees copy
+
+(* --- EPCM reverse index, one window per enclave ----------------------- *)
+
+(* Three enclaves bind and release frames over one shared vpage range
+   (harder than real, disjoint ranges); an op may also tear an enclave
+   down the way [Kernel.release_proc] does.  After every op each
+   (enclave id, vpage) pair, id 4 (never bound) included, resolves
+   exactly as an oracle keyed by the pair says: a page is never visible
+   under another enclave's id, before or after release.  Halfway
+   through, the EPC goes through a Marshal round trip, as a world
+   snapshot does, and the second half runs on the copy. *)
+let epc_frames = 48
+let epc_vpages = 32
+let epc_base = 0x10000
+
+let epc_property ops =
+  let epc = ref (Epc.create ~frames:epc_frames) in
+  let oracle = Hashtbl.create 64 in
+  let release_frame key frame =
+    Epc.release !epc frame;
+    Hashtbl.remove oracle key
+  in
+  let apply (op, eid, off) =
+    let epc = !epc in
+    let eid = 1 + (eid mod 3) and vpage = epc_base + (off mod epc_vpages) in
+    match op mod 8 with
+    | 0 | 1 | 2 | 3 ->
+      if not (Hashtbl.mem oracle (eid, vpage)) then begin
+        let frame = Epc.alloc epc in
+        if frame >= 0 then begin
+          Epc.bind epc ~frame ~enclave_id:eid ~vpage ~perms:Types.perms_rw
+            ~ptype:Types.Pt_reg ~pending:false;
+          Hashtbl.replace oracle (eid, vpage) frame
+        end
+      end
+    | 4 | 5 | 6 -> (
+      match Hashtbl.find_opt oracle (eid, vpage) with
+      | Some frame -> release_frame (eid, vpage) frame
+      | None -> ())
+    | _ ->
+      List.iter
+        (fun frame -> release_frame (eid, (Epc.entry epc frame).Epc.vpage) frame)
+        (Epc.frames_of_enclave epc ~enclave_id:eid);
+      Epc.drop_enclave epc ~enclave_id:eid
+  in
+  let agrees () =
+    let ok = ref true in
+    for eid = 1 to 4 do
+      for vpage = epc_base - 1 to epc_base + epc_vpages do
+        let expect =
+          Option.value (Hashtbl.find_opt oracle (eid, vpage)) ~default:(-1)
+        in
+        ok := !ok && Epc.frame_of_packed !epc ~enclave_id:eid ~vpage = expect
+      done
+    done;
+    !ok && Epc.free_frames !epc = epc_frames - Hashtbl.length oracle
+  in
+  let half = List.length ops / 2 in
+  List.for_all
+    (fun (i, op) ->
+      if i = half then epc := Marshal.from_string (Marshal.to_string !epc []) 0;
+      apply op;
+      agrees ())
+    (List.mapi (fun i op -> (i, op)) ops)
+
 (* --- QCheck registration -------------------------------------------- *)
 
 let op_list ~ops ~arg_hi =
@@ -292,6 +426,12 @@ let qcheck_cases =
       QCheck2.Test.make
         ~name:"flat map agrees with Hashtbl on random ops" ~count:300
         (op_list ~ops:5 ~arg_hi:0xFFFFF) flat_property;
+      QCheck2.Test.make
+        ~name:"flat window far from 0 agrees with Hashtbl, folds ascending"
+        ~count:300 ~print:window_print window_gen window_property;
+      QCheck2.Test.make
+        ~name:"epcm index isolates enclaves across bind/release" ~count:300
+        (op_list ~ops:8 ~arg_hi:(epc_vpages - 1)) epc_property;
     ]
 
 let suite =
@@ -301,5 +441,6 @@ let suite =
     ("tlb dirty-fill re-walk rule", `Quick, test_tlb_dirty_fill_rule);
     ("tlb eviction order differential", `Quick, test_tlb_eviction_scripted);
     ("flat map negative keys", `Quick, test_flat_negative_key_rejected);
+    ("flat map negative values", `Quick, test_flat_negative_value_rejected);
   ]
   @ qcheck_cases

@@ -338,6 +338,39 @@ let swap_store_agrees ops =
            (List.init 96 Fun.id))
     ops
 
+(* --- Teardown ------------------------------------------------------- *)
+
+(* Boot a self-paging tenant on [m]/[os] and release it, returning only
+   a weak pointer to its enclave.  Kept out of line so no register or
+   stack slot of the caller holds the process. *)
+let[@inline never] boot_and_release m os =
+  let proc =
+    Sim_os.Kernel.create_proc os ~size_pages:48 ~self_paging:true ~epc_limit:32
+  in
+  let sys = Harness.System.attach ~budget:16 ~machine:m ~os ~proc () in
+  let rt = Harness.System.runtime_exn sys in
+  Harness.System.manage sys (List.init 16 (fun i -> vp proc (24 + i)));
+  Autarky.Pager.fetch (Autarky.Runtime.pager rt) [ vp proc 24; vp proc 25 ];
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Sim_os.Kernel.enclave proc));
+  Sim_os.Kernel.release_proc os proc;
+  w
+
+(* Nothing on the machine or in the kernel may pin a released enclave
+   (through [Enclave.entry] it reaches the runtime, the pager and the
+   sealed blobs). *)
+let test_released_enclave_collected () =
+  let m = Helpers.machine ~epc_frames:128 () in
+  let os = Sim_os.Kernel.create m in
+  let w = boot_and_release m os in
+  Gc.full_major ();
+  checkb "enclave collected" false (Weak.check w 0);
+  (* The kernel, and through it the machine, outlived the collection. *)
+  let proc =
+    Sim_os.Kernel.create_proc os ~size_pages:8 ~self_paging:false ~epc_limit:8
+  in
+  checki "next enclave id" 2 (Sim_os.Kernel.enclave proc).Enclave.id
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -366,5 +399,6 @@ let suite =
     ("attacker unmap/restore", `Quick, test_attacker_unmap_restore);
     ("attacker A/D reading", `Quick, test_attacker_ad_reading);
     ("attacker evict breaks contract", `Quick, test_attacker_evict_breaks_contract);
+    ("released enclave is collected", `Quick, test_released_enclave_collected);
   ]
   @ qcheck_cases

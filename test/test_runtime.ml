@@ -375,8 +375,53 @@ let test_pager_refetched_page_requeues () =
   checkb "refetched page moved to back" true
     (Autarky.Pager.oldest_resident pager = Some arr.(1))
 
+(* --- argument checks ---------------------------------------------- *)
+
+let test_pager_create_rejects_budget () =
+  let sys = sys_small () in
+  let rt = Harness.System.runtime_exn sys in
+  Helpers.check_invalid_arg ~naming:"budget" (fun () ->
+      Autarky.Pager.create ~machine:(Harness.System.machine sys)
+        ~enclave:(Harness.System.enclave sys) ~os:(Autarky.Runtime.os rt)
+        ~mech:`Sgx1 ~budget:0)
+
+let rate_limit_with ?max_faults_per_unit ?evict_batch ?min_budget () =
+  let rt = Harness.System.runtime_exn (sys_small ()) in
+  Autarky.Policy_rate_limit.create ~runtime:rt ?max_faults_per_unit
+    ?evict_batch ?min_budget ()
+
+let test_rate_limit_rejects_max_faults () =
+  Helpers.check_invalid_arg ~naming:"max_faults_per_unit" (fun () ->
+      rate_limit_with ~max_faults_per_unit:0 ())
+
+let test_rate_limit_rejects_evict_batch () =
+  Helpers.check_invalid_arg ~naming:"evict_batch" (fun () ->
+      rate_limit_with ~evict_batch:0 ())
+
+let test_rate_limit_rejects_min_budget () =
+  Helpers.check_invalid_arg ~naming:"min_budget" (fun () ->
+      rate_limit_with ~min_budget:0 ())
+
+let test_set_min_budget_rejects_n () =
+  let rt = Harness.System.runtime_exn (sys_small ()) in
+  let pc =
+    Autarky.Policy_clusters.create ~runtime:rt
+      ~clusters:(Autarky.Clusters.create ())
+  in
+  Helpers.check_invalid_arg ~naming:": n must" (fun () ->
+      Autarky.Policy_clusters.set_min_budget pc 0)
+
 let suite =
   [
+    ("pager create rejects zero budget", `Quick, test_pager_create_rejects_budget);
+    ("rate limit rejects zero max_faults_per_unit", `Quick,
+     test_rate_limit_rejects_max_faults);
+    ("rate limit rejects zero evict_batch", `Quick,
+     test_rate_limit_rejects_evict_batch);
+    ("rate limit rejects zero min_budget", `Quick,
+     test_rate_limit_rejects_min_budget);
+    ("cluster policy rejects zero min budget", `Quick,
+     test_set_min_budget_rejects_n);
     ("pager fetch/evict (SGXv1)", `Quick, test_pager_fetch_evict_sgx1);
     ("pager refetched page requeues", `Quick, test_pager_refetched_page_requeues);
     ("cluster victims avoid fetch set", `Quick, test_cluster_victims_avoid_fetch_set);

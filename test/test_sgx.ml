@@ -25,6 +25,9 @@ let test_epc_exhaustion () =
   ignore (Epc.alloc epc);
   checki "exhausted" (-1) (Epc.alloc epc)
 
+let test_epc_create_rejects_frames () =
+  Helpers.check_invalid_arg ~naming:"frames" (fun () -> Epc.create ~frames:0)
+
 let test_epcm_bind_reverse () =
   let epc = Epc.create ~frames:4 in
   let f = Epc.alloc epc in
@@ -585,6 +588,7 @@ let suite =
   [
     ("epc alloc/release", `Quick, test_epc_alloc_release);
     ("epc exhaustion", `Quick, test_epc_exhaustion);
+    ("epc create rejects zero frames", `Quick, test_epc_create_rejects_frames);
     ("epcm bind + reverse lookup", `Quick, test_epcm_bind_reverse);
     ("epcm double bind rejected", `Quick, test_epcm_double_bind_rejected);
     ("epc frames of enclave", `Quick, test_epc_frames_of_enclave);

@@ -45,11 +45,11 @@ let flat_roundtrip t =
 
 let flat_domain = 96
 
-(* ops1 builds arbitrary state (removals leave tombstones; enough
-   inserts force rehits of the rehash path); the round-tripped copy
+(* ops1 builds arbitrary state (removals leave empty slots inside the
+   window; enough inserts force it to grow); the round-tripped copy
    then runs ops2 in lockstep with a Hashtbl oracle. *)
 let flat_property (ops1, ops2) =
-  let flat = Flat.create ~size:8 () in
+  let flat = Flat.create () in
   let oracle = Hashtbl.create 16 in
   let apply t (op, k, v) =
     match op mod 3 with
