@@ -170,8 +170,8 @@ let fresh_version t =
 
 (* SGXv2 eviction is split in two around a batched seal: first make
    every page read-only and snapshot it, then stream the whole run
-   through [Sealer.seal_batch_into] (which reuses the sealer's scratch
-   buffers across pages), publishing and trimming each page as its blob
+   through [Sealer.seal_batch_into] (which reuses the sealer's nonce
+   scratch across pages), publishing and trimming each page as its row
    is produced.  Bit-identical to sealing one page at a time — only the
    instruction interleave across pages changes, and the seal itself
    charges no cycles and emits no events, so the clock at every

@@ -4,13 +4,16 @@
    one loop.  ocamlopt turns a local [ref] that never escapes into a
    mutable variable and keeps a mutable [int64] variable unboxed, so the
    state lives in registers (or stack slots) as raw 64-bit words.  Each
-   word is a 32-bit value zero-extended in its 64-bit lane: additions
-   are masked back to 32 bits, and a rotation shifts both ways and
-   masks.  The feed-forward add XORs each keystream word straight into
-   the output, so the only allocation is the output buffer.  Output is
-   bit-identical to the boxed reference {!Chacha20_ref}; see
-   test/test_crypto.ml for the differential and RFC 8439 vector
-   checks. *)
+   word is a 32-bit value in the low half of its 64-bit lane, and the
+   high half is left to collect garbage: additions and XORs only carry
+   upward, so the low 32 bits stay exact without masking.  Only a
+   rotation looks at the high half, through the word it shifts right,
+   so [rotl] masks that one operand; the output store truncates each
+   keystream word to 32 bits.  The feed-forward add XORs each keystream
+   word straight into the destination, so the only allocation is the
+   output buffer [xor_stream] returns.  Output is bit-identical to the
+   boxed reference {!Chacha20_ref}; see test/test_crypto.ml for the
+   differential and RFC 8439 vector checks. *)
 
 type key = bytes
 type nonce = bytes
@@ -35,42 +38,46 @@ let[@inline] set32 b off v =
 
 let mask = 0xFFFF_FFFFL
 
-(* The 32-bit LE word at [off], zero-extended. *)
-let[@inline] word b off = Int64.logand (Int64.of_int32 (get32 b off)) mask
+(* The 32-bit LE word at [off] in the low half of a lane. *)
+let[@inline] word b off = Int64.of_int32 (get32 b off)
 
-let[@inline] add a b = Int64.logand (Int64.add a b) mask
+let[@inline] add a b = Int64.add a b
 
+(* Rotate the low 32 bits left by [n]: the high half of [x] would
+   shift into the result on the right, so only that operand is
+   masked. *)
 let[@inline] rotl x n =
-  Int64.logand
-    (Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (32 - n)))
-    mask
+  Int64.logor (Int64.shift_left x n)
+    (Int64.shift_right_logical (Int64.logand x mask) (32 - n))
 
-(* XOR keystream word [ks] into bytes [off, off + 4) of [out] against
-   [src], clipped to the first [n] bytes. *)
-let[@inline] put ~src ~out n off ks =
+(* XOR the low 32 bits of keystream word [ks] into bytes [off, off + 4)
+   of [src], written to [dst] at [d + off], clipped to the first [n]
+   bytes. *)
+let[@inline] put ~src ~dst d n off ks =
   if off + 4 <= n then
-    set32 out off (Int32.logxor (get32 src off) (Int64.to_int32 ks))
+    set32 dst (d + off) (Int32.logxor (get32 src off) (Int64.to_int32 ks))
   else
     for j = 0 to n - off - 1 do
-      Bytes.unsafe_set out (off + j)
+      Bytes.unsafe_set dst (d + off + j)
         (Char.unsafe_chr
            (Char.code (Bytes.unsafe_get src (off + j))
            lxor ((Int64.to_int ks lsr (8 * j)) land 0xFF)))
     done
 
-let xor_stream ~key ?(counter = 0l) ~nonce data =
+let xor_into ~key ?(counter = 0l) ~nonce src ~len:n dst ~dst_off:d =
   if Bytes.length key <> 32 then invalid_arg "Chacha20.block: key must be 32 bytes";
   if Bytes.length nonce <> 12 then
     invalid_arg "Chacha20.block: nonce must be 12 bytes";
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  let c0 = Int64.logand (Int64.of_int32 counter) mask in
+  if n < 0 || n > Bytes.length src || d < 0 || d > Bytes.length dst - n then
+    invalid_arg "Chacha20.xor_into: range outside src or dst";
+  let c0 = Int64.of_int32 counter in
   let i4 = word key 0 and i5 = word key 4 and i6 = word key 8 in
   let i7 = word key 12 and i8 = word key 16 and i9 = word key 20 in
   let i10 = word key 24 and i11 = word key 28 in
   let i13 = word nonce 0 and i14 = word nonce 4 and i15 = word nonce 8 in
   for blk = 0 to ((n + 63) / 64) - 1 do
-    (* The block counter wraps at 2^32, as the reference's [Int32.add]. *)
+    (* The block counter wraps at 2^32, as the reference's [Int32.add]:
+       only the low half of the lane is ever read. *)
     let i12 = add c0 (Int64.of_int blk) in
     let x0 = ref 0x61707865L and x1 = ref 0x3320646eL in
     let x2 = ref 0x79622d32L and x3 = ref 0x6b206574L in
@@ -114,23 +121,28 @@ let xor_stream ~key ?(counter = 0l) ~nonce data =
       x9 := add !x9 !x14; x4 := rotl (Int64.logxor !x4 !x9) 7
     done;
     let base = blk * 64 in
-    put ~src:data ~out n base (Int64.add !x0 0x61707865L);
-    put ~src:data ~out n (base + 4) (Int64.add !x1 0x3320646eL);
-    put ~src:data ~out n (base + 8) (Int64.add !x2 0x79622d32L);
-    put ~src:data ~out n (base + 12) (Int64.add !x3 0x6b206574L);
-    put ~src:data ~out n (base + 16) (Int64.add !x4 i4);
-    put ~src:data ~out n (base + 20) (Int64.add !x5 i5);
-    put ~src:data ~out n (base + 24) (Int64.add !x6 i6);
-    put ~src:data ~out n (base + 28) (Int64.add !x7 i7);
-    put ~src:data ~out n (base + 32) (Int64.add !x8 i8);
-    put ~src:data ~out n (base + 36) (Int64.add !x9 i9);
-    put ~src:data ~out n (base + 40) (Int64.add !x10 i10);
-    put ~src:data ~out n (base + 44) (Int64.add !x11 i11);
-    put ~src:data ~out n (base + 48) (Int64.add !x12 i12);
-    put ~src:data ~out n (base + 52) (Int64.add !x13 i13);
-    put ~src:data ~out n (base + 56) (Int64.add !x14 i14);
-    put ~src:data ~out n (base + 60) (Int64.add !x15 i15)
-  done;
+    put ~src ~dst d n base (Int64.add !x0 0x61707865L);
+    put ~src ~dst d n (base + 4) (Int64.add !x1 0x3320646eL);
+    put ~src ~dst d n (base + 8) (Int64.add !x2 0x79622d32L);
+    put ~src ~dst d n (base + 12) (Int64.add !x3 0x6b206574L);
+    put ~src ~dst d n (base + 16) (Int64.add !x4 i4);
+    put ~src ~dst d n (base + 20) (Int64.add !x5 i5);
+    put ~src ~dst d n (base + 24) (Int64.add !x6 i6);
+    put ~src ~dst d n (base + 28) (Int64.add !x7 i7);
+    put ~src ~dst d n (base + 32) (Int64.add !x8 i8);
+    put ~src ~dst d n (base + 36) (Int64.add !x9 i9);
+    put ~src ~dst d n (base + 40) (Int64.add !x10 i10);
+    put ~src ~dst d n (base + 44) (Int64.add !x11 i11);
+    put ~src ~dst d n (base + 48) (Int64.add !x12 i12);
+    put ~src ~dst d n (base + 52) (Int64.add !x13 i13);
+    put ~src ~dst d n (base + 56) (Int64.add !x14 i14);
+    put ~src ~dst d n (base + 60) (Int64.add !x15 i15)
+  done
+
+let xor_stream ~key ?counter ~nonce data =
+  let n = Bytes.length data in
+  let out = Bytes.create n in
+  xor_into ~key ?counter ~nonce data ~len:n out ~dst_off:0;
   out
 
 (* The keystream block is the encryption of 64 zero bytes. *)

@@ -4,9 +4,9 @@
     for swapped-out page contents.  Pure OCaml, constant-shape (no
     data-dependent branches on key or plaintext).
 
-    The state words live in unboxed [Int64] locals, so a call allocates
-    only the bytes it returns; bit-identical to the boxed reference in
-    {!Chacha20_ref}. *)
+    The state words live in unboxed [Int64] locals, so {!xor_into}
+    allocates nothing and {!xor_stream} only the bytes it returns;
+    bit-identical to the boxed reference in {!Chacha20_ref}. *)
 
 type key = bytes
 (** 32-byte key. *)
@@ -27,6 +27,15 @@ val xor_stream : key:key -> ?counter:int32 -> nonce:nonce -> bytes -> bytes
     [counter] (default 0); the 32-bit block counter wraps past
     [0xFFFFFFFF].  Encryption and decryption are the same operation.
     Raises [Invalid_argument] as {!block} does. *)
+
+val xor_into :
+  key:key -> ?counter:int32 -> nonce:nonce -> bytes -> len:int -> bytes ->
+  dst_off:int -> unit
+(** [xor_into ~key ~nonce src ~len dst ~dst_off] writes the first [len]
+    bytes of [src], XORed with the keystream, to [dst] at [dst_off]:
+    {!xor_stream} without the fresh output buffer, and the one kernel
+    both run.  Raises [Invalid_argument] as {!block} does, or when the
+    range falls outside [src] or [dst]. *)
 
 val selftest : unit -> bool
 (** Checks the RFC 8439 §2.3.2 test vector. *)

@@ -5,20 +5,21 @@
     custom in-enclave encryption the paper's SGXv2 path uses
     (ChaCha20 + SipHash encrypt-then-MAC, version bound into the MAC).
 
-    A sealing context owns reused nonce and MAC scratch buffers, so the
-    hot eviction/reload paths allocate only the ciphertext or plaintext
-    they return. *)
+    A sealed page is one flat row,
+    [ciphertext ‖ LE64 vaddr ‖ LE64 version ‖ LE64 MAC], with the MAC
+    taken over everything before it.  {!seal} encrypts straight into a
+    fresh row and MACs it in place; the context reuses only its nonce
+    scratch, so the hot eviction/reload paths allocate just the row or
+    plaintext they return. *)
 
 type t
-(** Sealing context holding the encryption and MAC keys plus reused
-    scratch buffers. *)
+(** Sealing context holding the encryption and MAC keys plus a reused
+    nonce buffer. *)
 
-type sealed = {
-  ciphertext : bytes;
-  mac : int64;
-  vaddr : int64;   (** virtual page address bound into the seal *)
-  version : int64; (** anti-replay version bound into the seal *)
-}
+type sealed
+(** A sealed row.  Rows are immutable once sealed and every {!seal}
+    returns a fresh one, so a reference held by the untrusted side
+    (the swap store, an injector's stash) never changes under it. *)
 
 type error =
   | Mac_mismatch    (** ciphertext or metadata tampered with *)
@@ -33,29 +34,44 @@ val seal : t -> vaddr:int64 -> version:int64 -> bytes -> sealed
 
 val unseal :
   t -> vaddr:int64 -> expected_version:int64 -> sealed -> (bytes, error) result
-(** Verify the MAC and the version, then decrypt.  A stale [sealed] value
-    replayed by the untrusted OS fails with [Replayed]; any bit flip in
-    the ciphertext or metadata fails with [Mac_mismatch]. *)
-
-(** {1 Batch operations}
-
-    Seal or unseal a run of pages through one context, reusing its
-    scratch buffers across pages.  Results are in input order and
-    bit-identical to sealing each page individually. *)
-
-val seal_batch : t -> (int64 * int64 * bytes) list -> sealed list
-(** Each item is [(vaddr, version, plaintext)]. *)
+(** Check the version, then the MAC and the vaddr, then decrypt.  A
+    stale row replayed by the untrusted OS fails with [Replayed]; any
+    bit flip in the ciphertext, vaddr or MAC fails with
+    [Mac_mismatch]. *)
 
 val seal_batch_into :
   t -> n:int -> vaddr:(int -> int64) -> version:(int -> int64) ->
   plaintext:(int -> bytes) -> sink:(int -> sealed -> unit) -> unit
-(** Index-driven form of {!seal_batch}: seals items [0..n-1], reading
-    each through the accessor callbacks and handing each result to
-    [sink] as soon as it is produced — no intermediate lists.  Seal [i]
-    is bit-identical to [seal t ~vaddr:(vaddr i) ~version:(version i)
-    (plaintext i)]. *)
+(** Seal items [0..n-1] through one context, reading each through the
+    accessor callbacks and handing each row to [sink] as soon as it is
+    produced — no intermediate lists.  Seal [i] is bit-identical to
+    [seal t ~vaddr:(vaddr i) ~version:(version i) (plaintext i)]. *)
 
-val unseal_batch :
-  t -> (int64 * int64 * sealed) list -> (bytes list, int64 * error) result
-(** Each item is [(vaddr, expected_version, sealed)].  Stops at the
-    first failure, identifying the offending [vaddr]. *)
+(** {1 The row's fields}
+
+    For the untrusted side and the on-disk snapshot format: the fields
+    read out, a row put together from them, and the row as raw bytes
+    for an adversary to edit. *)
+
+val ciphertext_length : sealed -> int
+
+val ciphertext : sealed -> bytes
+(** A copy of the ciphertext. *)
+
+val version : sealed -> int64
+val mac : sealed -> int64
+(** The stored fields, unchecked, read back from the row's end.  Raise
+    [Invalid_argument] on a row too short to hold them, which only
+    {!of_bytes} makes. *)
+
+val make : ciphertext:bytes -> vaddr:int64 -> version:int64 -> mac:int64 -> sealed
+(** The row holding these fields, as {!seal} lays it out. *)
+
+val to_bytes : sealed -> bytes
+(** A copy of the whole row. *)
+
+val of_bytes : bytes -> sealed
+(** Adopt raw bytes as a row, without checks or a copy: whatever the
+    untrusted side wrote, which {!unseal} must then catch (a row too
+    short to hold its trailer fails with [Mac_mismatch]).  The caller
+    must not mutate the bytes afterwards. *)

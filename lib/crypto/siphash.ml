@@ -4,10 +4,10 @@
    one loop.  ocamlopt turns a local [ref] that never escapes into a
    mutable variable and keeps a mutable [int64] variable unboxed, so the
    lanes live in registers (or stack slots) as raw 64-bit words: the
-   only allocation is the boxed digest [hash] returns.  The SipRound
-   body is written out twice, once for the compression rounds and once
-   for the finalization rounds; an out-of-line round would box the
-   lanes at every call.  Output is bit-identical to the boxed reference
+   only allocation is the boxed digest [hash_prefix] returns.  The
+   SipRound body is written out twice, once for the compression rounds
+   and once for the finalization rounds; an out-of-line round would box
+   the lanes at every call.  Output is bit-identical to the boxed reference
    {!Siphash_ref}; see test/test_crypto.ml for the differential and
    reference-vector checks. *)
 
@@ -28,8 +28,9 @@ let key_of_bytes b =
 let[@inline] rotl x n =
   Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
 
-let hash key data =
-  let n = Bytes.length data in
+let hash_prefix key data ~len:n =
+  if n < 0 || n > Bytes.length data then
+    invalid_arg "Siphash.hash_prefix: length outside the buffer";
   let nwords = n / 8 in
   (* Final message word: the trailing [n mod 8] bytes, little-endian,
      under the length byte. *)
@@ -74,6 +75,7 @@ let hash key data =
   done;
   Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
 
+let hash key data = hash_prefix key data ~len:(Bytes.length data)
 let hash_string key str = hash key (Bytes.unsafe_of_string str)
 
 let selftest () =

@@ -17,6 +17,11 @@ val key_of_bytes : bytes -> key
 val hash : key -> bytes -> int64
 (** MAC of the full byte string. *)
 
+val hash_prefix : key -> bytes -> len:int -> int64
+(** MAC of the first [len] bytes, equal to [hash] of that prefix
+    without copying it out; [hash] runs this same kernel.  Raises
+    [Invalid_argument] unless [0 <= len <= Bytes.length]. *)
+
 val hash_string : key -> string -> int64
 
 val selftest : unit -> bool

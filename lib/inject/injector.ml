@@ -15,7 +15,8 @@ type t = {
   mutable st : attached option;
   mutable injected : int;
   mutable pending_burst : int;
-  mutable stash : (vpage * Sim_os.Swap_store.blob) option;
+  mutable stash : (vpage * Sim_crypto.Sealer.sealed * int) option;
+      (* a stored page's row and PCMD *)
   mutable shrink_storm : (int * int) option;  (* original limit, ticks left *)
 }
 
@@ -128,16 +129,18 @@ let pick_stored t st =
   | [] -> None
   | vs -> Some (List.nth vs (Metrics.Rng.int t.rng (List.length vs)))
 
-let flip_sealed t (s : Sim_crypto.Sealer.sealed) =
-  let n = Bytes.length s.ciphertext in
-  if n = 0 then { s with mac = Int64.lognot s.mac }
+(* A copy of the row with one ciphertext bit flipped: the byte is drawn
+   over the ciphertext, never the vaddr/version/MAC trailer. *)
+let flip_sealed t row =
+  let n = Sim_crypto.Sealer.ciphertext_length row in
+  let b = Sim_crypto.Sealer.to_bytes row in
+  if n = 0 then Bytes.set_int64_le b (n + 16) (Int64.lognot (Sim_crypto.Sealer.mac row))
   else begin
     let i = Metrics.Rng.int t.rng n in
     let bit = Metrics.Rng.int t.rng 8 in
-    let ct = Bytes.copy s.ciphertext in
-    Bytes.set ct i (Char.chr (Char.code (Bytes.get ct i) lxor (1 lsl bit)));
-    { s with ciphertext = ct }
-  end
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)))
+  end;
+  Sim_crypto.Sealer.of_bytes b
 
 let fire_bit_flip t st =
   match pick_stored t st with
@@ -146,18 +149,10 @@ let fire_bit_flip t st =
     let swap = swap_of st in
     match Sim_os.Swap_store.peek swap vp with
     | None -> ()
-    | Some blob ->
+    | Some (row, pcmd) ->
       emit t "flip-ciphertext-bit" [ vp ];
       t.injected <- t.injected + 1;
-      let blob' =
-        match blob with
-        | Sim_os.Swap_store.V1 sw ->
-          Sim_os.Swap_store.V1
-            { sw with Sgx.Instructions.sw_sealed = flip_sealed t sw.sw_sealed }
-        | Sim_os.Swap_store.V2 sealed ->
-          Sim_os.Swap_store.V2 (flip_sealed t sealed)
-      in
-      Sim_os.Swap_store.replace_raw swap vp blob')
+      Sim_os.Swap_store.replace_raw swap vp (flip_sealed t row) ~pcmd)
 
 (* Replay is two-phase: stash a valid blob now, and re-install it once
    the store holds a *newer* blob for the same page (i.e. the page was
@@ -172,15 +167,15 @@ let fire_replay t st =
     | Some vp -> (
       match Sim_os.Swap_store.peek swap vp with
       | None -> ()
-      | Some blob ->
-        t.stash <- Some (vp, blob);
+      | Some (row, pcmd) ->
+        t.stash <- Some (vp, row, pcmd);
         emit t "stash-blob" [ vp ]))
-  | Some (vp, old) -> (
+  | Some (vp, old, old_pcmd) -> (
     match Sim_os.Swap_store.peek swap vp with
-    | Some cur when cur <> old ->
+    | Some (cur, cur_pcmd) when cur <> old || cur_pcmd <> old_pcmd ->
       emit t "replay-stale-blob" [ vp ];
       t.injected <- t.injected + 1;
-      Sim_os.Swap_store.replace_raw swap vp old;
+      Sim_os.Swap_store.replace_raw swap vp old ~pcmd:old_pcmd;
       t.stash <- None
     | _ -> ())
 

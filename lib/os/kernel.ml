@@ -231,11 +231,11 @@ let add_initial_page t proc ~vpage ~data ~perms =
        | Ok _ -> ()
        | Error `Epc_full ->
          Types.sgx_errorf "cannot provision a version-array page: EPC full");
-    let sw =
+    let row, pcmd =
       Instructions.seal_for_swap t.machine proc.enclave ~vpage ~data ~perms
         ~ptype:Types.Pt_reg
     in
-    Swap_store.put proc.proc_swap vpage (Swap_store.V1 sw)
+    Swap_store.put proc.proc_swap vpage row ~pcmd
   end
 
 let finalize t proc = Instructions.einit t.machine proc.enclave
@@ -261,8 +261,8 @@ let rec eblock_all t proc = function
 let rec ewb_all t proc ~os_initiated = function
   | [] -> ()
   | vp :: rest ->
-    let sw = Instructions.ewb t.machine proc.enclave ~vpage:vp in
-    Swap_store.put proc.proc_swap vp (Swap_store.V1 sw);
+    let row, pcmd = Instructions.ewb t.machine proc.enclave ~vpage:vp in
+    Swap_store.put proc.proc_swap vp row ~pcmd;
     Page_table.unmap proc.pt vp;
     proc.resident_count <- proc.resident_count - 1;
     if os_initiated then incr t t.cells.k_evict;
@@ -373,15 +373,14 @@ let do_fetch t proc vp ~pinned : (unit, fetch_error) result =
   let slot = Swap_store.slot swap vp in
   if slot < 0 then fetch_without_blob t proc vp
   else
-    match Swap_store.blob_at swap slot with
-    | Swap_store.V2 _ ->
-      Swap_store.delete swap vp;
+    let row = Swap_store.row_at swap slot and pcmd = Swap_store.pcmd_at swap slot in
+    Swap_store.delete swap vp;
+    if pcmd = Swap_store.runtime_sealed then
       Types.sgx_errorf "OS fetch of runtime-sealed (SGXv2) page 0x%x" vp
-    | Swap_store.V1 sw -> (
-      Swap_store.delete swap vp;
-      match Instructions.eldu t.machine proc.enclave sw with
+    else
+      match Instructions.eldu t.machine proc.enclave ~vpage:vp row ~pcmd with
       | Ok frame ->
-        map_page proc ~vpage:vp ~frame ~perms:sw.sw_perms;
+        map_page proc ~vpage:vp ~frame ~perms:(Instructions.pcmd_perms pcmd);
         proc.resident_count <- proc.resident_count + 1;
         if not pinned then enqueue_os_resident proc vp;
         if not pinned then incr t t.cells.k_fetch;
@@ -399,7 +398,7 @@ let do_fetch t proc vp ~pinned : (unit, fetch_error) result =
       | Error `Epc_full ->
         (* The caller ensured headroom; running out here is a simulator
            bug, not OS behaviour. *)
-        Types.sgx_errorf "ELDU: EPC full after headroom check for page 0x%x" vp)
+        Types.sgx_errorf "ELDU: EPC full after headroom check for page 0x%x" vp
 
 (* --- Fault handling -------------------------------------------------- *)
 
@@ -587,19 +586,18 @@ let ay_remove_pages t proc pages =
 
 let blob_store t proc vp sealed =
   charge t (cmodel t).dram_access;
-  Swap_store.put proc.proc_swap vp (Swap_store.V2 sealed)
+  Swap_store.put proc.proc_swap vp sealed ~pcmd:Swap_store.runtime_sealed
 
 let blob_load t proc vp =
   charge t (cmodel t).dram_access;
-  match Swap_store.take proc.proc_swap vp with
-  | Some (Swap_store.V2 sealed) -> Some sealed
-  | Some (Swap_store.V1 _) as blob ->
-    (* Not a runtime-sealed page; put it back. *)
-    (match blob with
-    | Some b -> Swap_store.put proc.proc_swap vp b
-    | None -> ());
-    None
-  | None -> None
+  let swap = proc.proc_swap in
+  let slot = Swap_store.slot swap vp in
+  if slot < 0 || Swap_store.pcmd_at swap slot <> Swap_store.runtime_sealed then None
+  else begin
+    let row = Swap_store.row_at swap slot in
+    Swap_store.delete swap vp;
+    Some row
+  end
 
 let page_in_os_managed t proc vp : (unit, fetch_error) result =
   charge_hostcall t proc t.cells.k_sys_page_in ~pages:1;
@@ -644,6 +642,19 @@ let release_proc t proc =
       charge t (cmodel t).eremove;
       Epc.release t.machine.epc frame)
     frames;
+  (* The VA slots of the pages still swapped out go back to the free
+     pool: nothing will ELDU them now.  A slot is cleared only while it
+     holds its row's version, so a stale or forged entry the OS planted
+     cannot free a slot another page has taken since. *)
+  Swap_store.iter
+    (fun row pcmd ->
+      if pcmd <> Swap_store.runtime_sealed then begin
+        let slot = Instructions.pcmd_va_slot pcmd in
+        let v = Machine.read_va_slot t.machine slot in
+        if v >= 0 && Int64.of_int v = Sim_crypto.Sealer.version row then
+          Machine.clear_va_slot t.machine slot
+      end)
+    proc.proc_swap;
   (match proc.enclave.Enclave.state with
   | Enclave.Dead _ -> ()
   | _ -> proc.enclave.Enclave.state <- Enclave.Dead "released by OS");

@@ -130,6 +130,8 @@ val blob_store : t -> proc -> Sgx.Types.vpage -> Sim_crypto.Sealer.sealed -> uni
     call needed — direct store). *)
 
 val blob_load : t -> proc -> Sgx.Types.vpage -> Sim_crypto.Sealer.sealed option
+(** Take back a runtime-sealed row; [None] when nothing is stored for
+    the page or its row is one EWB produced, which stays stored. *)
 
 val page_in_os_managed :
   t -> proc -> Sgx.Types.vpage -> (unit, fetch_error) result

@@ -1,11 +1,25 @@
-type swapped = {
-  sw_enclave_id : int;
-  sw_vpage : Types.vpage;
-  sw_perms : Types.perms;
-  sw_ptype : Types.page_type;
-  sw_va_slot : int;
-  sw_sealed : Sim_crypto.Sealer.sealed;
-}
+(* PCMD: perms in bits 0-2, page type in bits 3-4, VA slot in bits
+   5-34, enclave id from bit 35. *)
+let pcmd_slot_bits = 30
+let pcmd_id_bits = 62 - 5 - pcmd_slot_bits
+
+let ptype_code = function
+  | Types.Pt_reg -> 0 | Types.Pt_tcs -> 1 | Types.Pt_trim -> 2 | Types.Pt_va -> 3
+
+let ptype_of_code = function
+  | 0 -> Types.Pt_reg | 1 -> Types.Pt_tcs | 2 -> Types.Pt_trim | _ -> Types.Pt_va
+
+let pcmd ~enclave_id ~perms ~ptype ~va_slot =
+  if va_slot lsr pcmd_slot_bits <> 0 || enclave_id lsr pcmd_id_bits <> 0 then
+    Types.sgx_errorf "PCMD: enclave %d / VA slot %d out of range" enclave_id va_slot;
+  (((enclave_id lsl pcmd_slot_bits) lor va_slot) lsl 5)
+  lor (ptype_code ptype lsl 3)
+  lor Types.perms_bits perms
+
+let pcmd_perms p = Types.perms_of_bits p
+let pcmd_ptype p = ptype_of_code ((p lsr 3) land 3)
+let pcmd_va_slot p = (p lsr 5) land ((1 lsl pcmd_slot_bits) - 1)
+let pcmd_enclave_id p = p lsr (5 + pcmd_slot_bits)
 
 type eldu_error = [ `Mac_mismatch | `Replayed | `Epc_full ]
 
@@ -224,41 +238,35 @@ let ewb m (enclave : Enclave.t) ~vpage =
   let version = Machine.fresh_va_version m in
   let slot = Machine.take_va_slot m ~version in
   if slot < 0 then Types.sgx_errorf "EWB: no free version-array slot (run EPA)";
-  let plaintext = Page_data.to_bytes (Epc.data m.epc frame) in
-  let sealed =
+  let row =
     Sim_crypto.Sealer.seal m.sealer
       ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
-      ~version:(Int64.of_int version) plaintext
+      ~version:(Int64.of_int version)
+      (Page_data.to_bytes (Epc.data m.epc frame))
   in
-  let sw =
-    {
-      sw_enclave_id = enclave.id;
-      sw_vpage = vpage;
-      sw_perms = entry.perms;
-      sw_ptype = entry.ptype;
-      sw_va_slot = slot;
-      sw_sealed = sealed;
-    }
+  let pcmd =
+    pcmd ~enclave_id:enclave.id ~perms:entry.perms ~ptype:entry.ptype ~va_slot:slot
   in
   Epc.release m.epc frame;
   Machine.charge m (cm.ewb + Metrics.Cost_model.hw_page_crypto cm);
   incr (Machine.hot m).Machine.c_ewb;
-  sw
+  (row, pcmd)
 
-let eldu m (enclave : Enclave.t) (sw : swapped) =
+let eldu m (enclave : Enclave.t) ~vpage row ~pcmd =
   let cm = Machine.model m in
-  if sw.sw_enclave_id <> enclave.id then
-    Types.sgx_errorf "ELDU: page belongs to enclave %d, not %d" sw.sw_enclave_id
-      enclave.id;
+  let owner = pcmd_enclave_id pcmd in
+  if owner <> enclave.id then
+    Types.sgx_errorf "ELDU: page belongs to enclave %d, not %d" owner enclave.id;
   Machine.charge m (cm.eldu + Metrics.Cost_model.hw_page_crypto cm);
   incr (Machine.hot m).Machine.c_eldu;
-  let expected = Machine.read_va_slot m sw.sw_va_slot in
+  let slot = pcmd_va_slot pcmd in
+  let expected = Machine.read_va_slot m slot in
   if expected < 0 then Error `Replayed
   else
     match
       Sim_crypto.Sealer.unseal m.sealer
-        ~vaddr:(Int64.of_int (Types.vaddr_of_vpage sw.sw_vpage))
-        ~expected_version:(Int64.of_int expected) sw.sw_sealed
+        ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
+        ~expected_version:(Int64.of_int expected) row
     with
     | Error Sim_crypto.Sealer.Mac_mismatch -> Error `Mac_mismatch
     | Error Sim_crypto.Sealer.Replayed -> Error `Replayed
@@ -266,10 +274,10 @@ let eldu m (enclave : Enclave.t) (sw : swapped) =
       let frame = Epc.alloc m.epc in
       if frame < 0 then Error `Epc_full
       else begin
-        Epc.bind m.epc ~frame ~enclave_id:enclave.id ~vpage:sw.sw_vpage
-          ~perms:sw.sw_perms ~ptype:sw.sw_ptype ~pending:false;
+        Epc.bind m.epc ~frame ~enclave_id:enclave.id ~vpage ~perms:(pcmd_perms pcmd)
+          ~ptype:(pcmd_ptype pcmd) ~pending:false;
         Epc.set_data m.epc frame (Page_data.of_bytes plaintext);
-        Machine.clear_va_slot m sw.sw_va_slot;
+        Machine.clear_va_slot m slot;
         Ok frame
       end
 
@@ -280,14 +288,13 @@ let seal_for_swap m (enclave : Enclave.t) ~vpage ~data ~perms ~ptype =
   let slot = Machine.take_va_slot m ~version in
   if slot < 0 then
     Types.sgx_errorf "seal_for_swap: no free version-array slot (run EPA)";
-  let sealed =
+  let row =
     Sim_crypto.Sealer.seal m.sealer
       ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
       ~version:(Int64.of_int version)
       (Page_data.to_bytes data)
   in
-  { sw_enclave_id = enclave.id; sw_vpage = vpage; sw_perms = perms;
-    sw_ptype = ptype; sw_va_slot = slot; sw_sealed = sealed }
+  (row, pcmd ~enclave_id:enclave.id ~perms ~ptype ~va_slot:slot)
 
 (* --- SGXv2 dynamic memory ------------------------------------------- *)
 

@@ -9,17 +9,21 @@
     scope.  The EBLOCK/ETRACK/EPA eviction protocol and version-array
     slots are modelled architecturally. *)
 
-(** A page evicted by EWB: sealed ciphertext plus the metadata needed by
-    ELDU.  The OS stores these blobs in untrusted memory; any tampering
-    or replay is caught on reload. *)
-type swapped = {
-  sw_enclave_id : int;
-  sw_vpage : Types.vpage;
-  sw_perms : Types.perms;
-  sw_ptype : Types.page_type;
-  sw_va_slot : int;  (** version-array slot holding the anti-replay nonce *)
-  sw_sealed : Sim_crypto.Sealer.sealed;
-}
+(** {1 Page crypto metadata}
+
+    EWB leaves two things in untrusted memory for each evicted page:
+    the sealed row ({!Sim_crypto.Sealer.sealed}: ciphertext, vaddr,
+    version and MAC) and the page's PCMD, packed here into one
+    non-negative int — the owning enclave id, the EPCM permissions and
+    page type, and the version-array slot that holds the page's
+    anti-replay version.  EWB raises {!Types.Sgx_error} past 2^27
+    enclave ids or 2^30 VA slots, which the packing cannot hold.  The
+    PCMD lies outside the row's MAC; ELDU checks its enclave id against
+    the enclave it loads into and takes the expected version from the
+    slot, which the OS cannot write. *)
+
+val pcmd_perms : int -> Types.perms
+val pcmd_va_slot : int -> int
 
 type eldu_error = [ `Mac_mismatch | `Replayed | `Epc_full ]
 
@@ -86,24 +90,32 @@ val etrack : Machine.t -> Enclave.t -> unit
 (** Start (and, on this single-core model, retire) the tracking epoch
     for the enclave's blocked pages, performing the TLB shootdown. *)
 
-val ewb : Machine.t -> Enclave.t -> vpage:Types.vpage -> swapped
+val ewb :
+  Machine.t -> Enclave.t -> vpage:Types.vpage -> Sim_crypto.Sealer.sealed * int
 (** Evict a blocked-and-tracked page: seal contents with the hardware
     paging key, store the anti-replay version in a VA slot, invalidate
-    the EPCM entry and free the frame.  The caller (OS) must also unmap
-    the PTE.  Raises {!Types.Sgx_error} if the page was not blocked, the
-    epoch has not retired, or no VA slot is free. *)
+    the EPCM entry and free the frame.  Returns the sealed row and its
+    PCMD.  The caller (OS) must also unmap the PTE.  Raises
+    {!Types.Sgx_error} if the page was not blocked, the epoch has not
+    retired, or no VA slot is free. *)
 
-val eldu : Machine.t -> Enclave.t -> swapped -> (Types.frame, eldu_error) result
-(** Reload an evicted page, verifying integrity and freshness. *)
+val eldu :
+  Machine.t -> Enclave.t -> vpage:Types.vpage -> Sim_crypto.Sealer.sealed ->
+  pcmd:int -> (Types.frame, eldu_error) result
+(** Reload an evicted page at [vpage] from its row and PCMD, verifying
+    integrity and freshness: the row's MAC must bind [vpage]'s address
+    and the version held in the PCMD's VA slot.  Raises
+    {!Types.Sgx_error} if the PCMD names another enclave. *)
 
 val seal_for_swap :
   Machine.t -> Enclave.t -> vpage:Types.vpage -> data:Page_data.t ->
-  perms:Types.perms -> ptype:Types.page_type -> swapped
-(** Initialization-time helper: produce a swapped-page blob as if the
-    page had been EADDed and immediately EWBed, without ever occupying an
-    EPC frame and without charging cycles.  Used to pre-populate enclaves
-    whose initial image exceeds the EPC, which the paper's methodology
-    excludes from measurement ("results do not include initialization"). *)
+  perms:Types.perms -> ptype:Types.page_type -> Sim_crypto.Sealer.sealed * int
+(** Initialization-time helper: produce a swapped page's row and PCMD
+    as if the page had been EADDed and immediately EWBed, without ever
+    occupying an EPC frame and without charging cycles.  Used to
+    pre-populate enclaves whose initial image exceeds the EPC, which
+    the paper's methodology excludes from measurement ("results do not
+    include initialization"). *)
 
 (** {1 SGXv2 dynamic memory management} *)
 

@@ -48,8 +48,11 @@ let perms_bits p =
 let kind_bit = function Read -> 1 | Write -> 2 | Exec -> 4
 let bits_allow bits kind = bits land kind_bit kind <> 0
 
-let perms_of_bits b =
-  { r = b land 1 <> 0; w = b land 2 <> 0; x = b land 4 <> 0 }
+(* The eight records, built once: unpacking a mask allocates nothing. *)
+let perms_by_bits =
+  Array.init 8 (fun b -> { r = b land 1 <> 0; w = b land 2 <> 0; x = b land 4 <> 0 })
+
+let perms_of_bits b = perms_by_bits.(b land 7)
 
 (* [perms_subset a b]: every right in [a] is also in [b]. *)
 let perms_subset a b = ((not a.r) || b.r) && ((not a.w) || b.w) && ((not a.x) || b.x)

@@ -219,9 +219,9 @@ let save ~store ~kind ~label ~cycle ?(probe = 0L) payload ~path =
       Sim_crypto.Sealer.seal sl ~vaddr:(Int64.of_int i) ~version:counter
         (Bytes.sub plain off len)
     in
-    Codec.W.u32 b (Bytes.length s.Sim_crypto.Sealer.ciphertext);
-    Buffer.add_bytes b s.Sim_crypto.Sealer.ciphertext;
-    Codec.W.i64 b s.Sim_crypto.Sealer.mac
+    Codec.W.u32 b (Sim_crypto.Sealer.ciphertext_length s);
+    Buffer.add_bytes b (Sim_crypto.Sealer.ciphertext s);
+    Codec.W.i64 b (Sim_crypto.Sealer.mac s)
   done;
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -279,12 +279,8 @@ let unseal_chunks ~counter chunks =
     | [] -> Ok (Buffer.contents b)
     | (ciphertext, mac) :: rest -> (
       let s =
-        {
-          Sim_crypto.Sealer.ciphertext;
-          mac;
-          vaddr = Int64.of_int i;
-          version = counter;
-        }
+        Sim_crypto.Sealer.make ~ciphertext ~vaddr:(Int64.of_int i) ~version:counter
+          ~mac
       in
       match
         Sim_crypto.Sealer.unseal sl ~vaddr:(Int64.of_int i)

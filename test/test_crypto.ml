@@ -227,7 +227,8 @@ let sealer = Sim_crypto.Sealer.create ~master_key:"unit-test"
 let test_sealer_roundtrip () =
   let page = Bytes.of_string (String.init 64 (fun i -> Char.chr (i + 32))) in
   let sealed = Sim_crypto.Sealer.seal sealer ~vaddr:0x1000L ~version:1L page in
-  checkb "ciphertext differs" false (Bytes.equal sealed.ciphertext page);
+  checkb "ciphertext differs" false
+    (Bytes.equal (Sim_crypto.Sealer.ciphertext sealed) page);
   match Sim_crypto.Sealer.unseal sealer ~vaddr:0x1000L ~expected_version:1L sealed with
   | Ok pt -> checkb "roundtrip" true (Bytes.equal pt page)
   | Error _ -> Alcotest.fail "unseal failed"
@@ -235,9 +236,9 @@ let test_sealer_roundtrip () =
 let test_sealer_detects_tamper () =
   let page = Bytes.make 64 'd' in
   let sealed = Sim_crypto.Sealer.seal sealer ~vaddr:0x2000L ~version:3L page in
-  let flipped = Bytes.copy sealed.ciphertext in
+  let flipped = Sim_crypto.Sealer.to_bytes sealed in
   Bytes.set flipped 10 (Char.chr (Char.code (Bytes.get flipped 10) lxor 1));
-  let tampered = { sealed with Sim_crypto.Sealer.ciphertext = flipped } in
+  let tampered = Sim_crypto.Sealer.of_bytes flipped in
   match Sim_crypto.Sealer.unseal sealer ~vaddr:0x2000L ~expected_version:3L tampered with
   | Error Sim_crypto.Sealer.Mac_mismatch -> ()
   | Ok _ -> Alcotest.fail "tampered page accepted"
@@ -267,16 +268,19 @@ let test_sealer_key_separation () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "cross-key unseal succeeded"
 
+let ref_sealer = Sim_crypto.Sealer_ref.create ~master_key:"unit-test"
+
 let test_sealer_matches_reference () =
   (* Interop: same master key, same inputs — the reference sealer and
-     the optimized sealer must produce identical blobs, and each must
-     unseal what the other sealed. *)
-  let ref_sealer = Sim_crypto.Sealer_ref.create ~master_key:"unit-test" in
+     the optimized sealer must produce identical rows, byte for byte,
+     and each must unseal what the other sealed. *)
   let page = Bytes.init 256 (fun i -> Char.chr ((i * 31) land 0xFF)) in
   let a = Sim_crypto.Sealer.seal sealer ~vaddr:0x8000L ~version:5L page in
   let b = Sim_crypto.Sealer_ref.seal ref_sealer ~vaddr:0x8000L ~version:5L page in
-  checkb "identical ciphertext" true (Bytes.equal a.ciphertext b.ciphertext);
-  Alcotest.(check int64) "identical MAC" b.mac a.mac;
+  checkb "identical row" true
+    (Bytes.equal (Sim_crypto.Sealer.to_bytes a) (Sim_crypto.Sealer.to_bytes b));
+  Alcotest.(check int64) "identical MAC" (Sim_crypto.Sealer.mac b)
+    (Sim_crypto.Sealer.mac a);
   (match Sim_crypto.Sealer.unseal sealer ~vaddr:0x8000L ~expected_version:5L b with
   | Ok pt -> checkb "new unseals ref blob" true (Bytes.equal pt page)
   | Error _ -> Alcotest.fail "new sealer rejected reference blob");
@@ -287,47 +291,30 @@ let test_sealer_matches_reference () =
   | Error _ -> Alcotest.fail "reference sealer rejected new blob"
 
 let test_sealer_batch_matches_single () =
-  (* Batch seal/unseal round-trips and matches page-at-a-time sealing
-     bit for bit. *)
-  let items =
-    List.init 8 (fun i ->
-        ( Int64.of_int (0x9000 + (i * 0x1000)),
-          Int64.of_int (100 + i),
-          Bytes.init (64 + (8 * i)) (fun j -> Char.chr ((i + j) land 0xFF)) ))
-  in
-  let batch = Sim_crypto.Sealer.seal_batch sealer items in
-  List.iter2
-    (fun (vaddr, version, pt) (s : Sim_crypto.Sealer.sealed) ->
-      let single = Sim_crypto.Sealer.seal sealer ~vaddr ~version pt in
-      checkb "batch ciphertext = single" true
-        (Bytes.equal s.ciphertext single.ciphertext);
-      Alcotest.(check int64) "batch MAC = single" single.mac s.mac)
-    items batch;
-  let to_unseal =
-    List.map2 (fun (vaddr, version, _) s -> (vaddr, version, s)) items batch
-  in
-  (match Sim_crypto.Sealer.unseal_batch sealer to_unseal with
-  | Ok pts ->
-    List.iter2
-      (fun (_, _, pt) recovered -> checkb "batch roundtrip" true (Bytes.equal pt recovered))
-      items pts
-  | Error _ -> Alcotest.fail "unseal_batch failed on honest blobs");
-  (* A tampered blob in the middle is pinpointed by vaddr. *)
-  let tampered =
-    List.mapi
-      (fun i ((vaddr, version, s) : int64 * int64 * Sim_crypto.Sealer.sealed) ->
-        if i = 3 then
-          let ct = Bytes.copy s.ciphertext in
-          Bytes.set ct 0 (Char.chr (Char.code (Bytes.get ct 0) lxor 1));
-          (vaddr, version, { s with ciphertext = ct })
-        else (vaddr, version, s))
-      to_unseal
-  in
-  match Sim_crypto.Sealer.unseal_batch sealer tampered with
-  | Ok _ -> Alcotest.fail "tampered batch accepted"
-  | Error (vaddr, Sim_crypto.Sealer.Mac_mismatch) ->
-    Alcotest.(check int64) "failing vaddr" 0xC000L vaddr
-  | Error (_, Sim_crypto.Sealer.Replayed) -> Alcotest.fail "wrong error"
+  (* [seal_batch_into] hands each item's row to the sink in order, bit
+     for bit the row sealing that page alone gives, and each row
+     unseals back to its page. *)
+  let n = 8 in
+  let vaddr i = Int64.of_int (0x9000 + (i * 0x1000)) in
+  let version i = Int64.of_int (100 + i) in
+  let plaintext i = Bytes.init (64 + (8 * i)) (fun j -> Char.chr ((i + j) land 0xFF)) in
+  let rows = Array.make n None in
+  Sim_crypto.Sealer.seal_batch_into sealer ~n ~vaddr ~version ~plaintext
+    ~sink:(fun i row ->
+      checkb "sunk in order" true (Array.for_all Option.is_some (Array.sub rows 0 i));
+      rows.(i) <- Some row);
+  Array.iteri
+    (fun i row ->
+      let row = Option.get row in
+      let single = Sim_crypto.Sealer.seal sealer ~vaddr:(vaddr i) ~version:(version i) (plaintext i) in
+      checkb "batch row = single" true
+        (Bytes.equal (Sim_crypto.Sealer.to_bytes row) (Sim_crypto.Sealer.to_bytes single));
+      match
+        Sim_crypto.Sealer.unseal sealer ~vaddr:(vaddr i) ~expected_version:(version i) row
+      with
+      | Ok pt -> checkb "batch roundtrip" true (Bytes.equal pt (plaintext i))
+      | Error _ -> Alcotest.fail "batch row failed to unseal")
+    rows
 
 (* --- Oblivious primitives --------------------------------------------- *)
 
@@ -387,6 +374,16 @@ let qcheck_cases =
           with
           | Ok pt -> Bytes.equal pt page
           | Error _ -> false);
+      QCheck2.Test.make ~name:"sealer rows match the reference on random pages"
+        ~count:100
+        QCheck2.Gen.(triple (string_size (int_range 0 200)) int64 int64)
+        (fun (s, vaddr, version) ->
+          let page = Bytes.of_string s in
+          let row = Sim_crypto.Sealer.seal sealer ~vaddr ~version page in
+          let ref_row = Sim_crypto.Sealer_ref.seal ref_sealer ~vaddr ~version page in
+          Bytes.equal (Sim_crypto.Sealer.to_bytes row) (Sim_crypto.Sealer.to_bytes ref_row)
+          && Sim_crypto.Sealer_ref.unseal ref_sealer ~vaddr ~expected_version:version row
+             = Ok page);
       QCheck2.Test.make ~name:"oblivious select equals if-then-else" ~count:500
         QCheck2.Gen.(triple bool int int)
         (fun (c, a, b) -> Sim_crypto.Oblivious.select c a b = if c then a else b);

@@ -255,15 +255,11 @@ let test_perf_check_alloc_per_cell () =
 
 (* --- Tenant footprint ----------------------------------------------- *)
 
-(* Heap words reachable from one tenant at the 100-tenant fleet's
-   geometry: a 512-page self-paging enclave with an EPC limit of 128 on
-   a 320-frame machine, with 128 heap pages allocated and managed.
-   Measured on this geometry: 106,711 words with hashed per-page tables
-   pre-sized to 4,096 slots, 56,514 words with window tables.  The
-   bound sits between the two. *)
-let footprint_bound = 80_000
-
-let test_tenant_footprint () =
+(* One tenant at the 100-tenant fleet's geometry (the serving [kv]
+   tenant's): a 512-page self-paging enclave with an EPC limit of 128 on
+   a 320-frame machine, with 128 heap pages allocated and managed, so
+   384 pages start in the swap store. *)
+let fleet_tenant () =
   let sys =
     Harness.System.create ~epc_frames:320 ~epc_limit:128 ~enclave_pages:512
       ~self_paging:true ()
@@ -273,10 +269,51 @@ let test_tenant_footprint () =
     ignore (Autarky.Allocator.alloc heap ~bytes:Sgx.Types.page_bytes)
   done;
   Harness.System.manage sys (Autarky.Allocator.allocated_pages heap);
-  let words = Obj.reachable_words (Obj.repr sys) in
+  sys
+
+let tenant_swap sys = Sim_os.Kernel.swap (Harness.System.os sys) (Harness.System.proc sys)
+
+(* Heap words reachable from the tenant.  Measured on this geometry:
+   106,711 words with hashed per-page tables pre-sized to 4,096 slots,
+   56,514 words with window tables and 49,346 with sealed pages as flat
+   rows.  The bound sits between the last two. *)
+let footprint_bound = 53_000
+
+let test_tenant_footprint () =
+  let words = Obj.reachable_words (Obj.repr (fleet_tenant ())) in
   checkb
     (Printf.sprintf "%d words < %d" words footprint_bound)
     true (words < footprint_bound)
+
+(* A stored V1 page is its 13-word row (88 bytes: 64 of ciphertext and
+   the vaddr/version/MAC trailer) and an immediate PCMD int; a blob
+   record with its boxes was 37 words. *)
+let test_stored_page_words () =
+  let swap = tenant_swap (fleet_tenant ()) in
+  let entry = ref None in
+  Sim_os.Swap_store.iter
+    (fun row pcmd -> if !entry = None then entry := Some (row, pcmd))
+    swap;
+  match !entry with
+  | None -> Alcotest.fail "no page in the swap store"
+  | Some (row, pcmd) ->
+    let words = Obj.reachable_words (Obj.repr row) in
+    checkb (Printf.sprintf "row of %d words <= 14" words) true (words <= 14);
+    checkb "PCMD is an immediate" true (Obj.is_int (Obj.repr pcmd));
+    checkb "PCMD of an EWB'd page" true (pcmd <> Sim_os.Swap_store.runtime_sealed)
+
+(* The whole swap store per swapped page: row, row and PCMD slots, the
+   vpage index and the doubling slack.  Measured: 137.7 B (52.9 KB for
+   the 384 pages); 287 B with blob records. *)
+let test_swap_store_bytes_per_page () =
+  let swap = tenant_swap (fleet_tenant ()) in
+  let pages = Sim_os.Swap_store.size swap in
+  let per_page =
+    float_of_int (8 * Obj.reachable_words (Obj.repr swap)) /. float_of_int pages
+  in
+  checki "swapped pages" 384 pages;
+  checkb (Printf.sprintf "%.1f B per swapped page <= 140" per_page) true
+    (per_page <= 140.)
 
 let suite =
   [
@@ -302,4 +339,6 @@ let suite =
      test_perf_check_malformed);
     ("perf check gates alloc per cell", `Quick, test_perf_check_alloc_per_cell);
     ("tenant footprint stays small", `Quick, test_tenant_footprint);
+    ("a stored page is one small row", `Quick, test_stored_page_words);
+    ("swap store bytes per swapped page", `Quick, test_swap_store_bytes_per_page);
   ]

@@ -84,15 +84,17 @@ let test_deleted_blob_detected_sgx2 () =
 
 (* --- satellite 3: the sealer's error path through the kernel --------- *)
 
+(* A copy of [row] with bit [bit] of its bytes flipped. *)
+let flip_bit row bit =
+  let b = Sim_crypto.Sealer.to_bytes row in
+  let i = bit / 8 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+  Sim_crypto.Sealer.of_bytes b
+
 let flip_blob swap vp =
   match Sim_os.Swap_store.peek swap vp with
-  | Some (Sim_os.Swap_store.V1 sw) ->
-    let s = sw.Sgx.Instructions.sw_sealed in
-    let ct = Bytes.copy s.Sim_crypto.Sealer.ciphertext in
-    Bytes.set ct 0 (Char.chr (Char.code (Bytes.get ct 0) lxor 1));
-    Sim_os.Swap_store.replace_raw swap vp
-      (Sim_os.Swap_store.V1
-         { sw with Sgx.Instructions.sw_sealed = { s with ciphertext = ct } })
+  | Some (row, pcmd) when pcmd <> Sim_os.Swap_store.runtime_sealed ->
+    Sim_os.Swap_store.replace_raw swap vp (flip_bit row 0) ~pcmd
   | _ -> Alcotest.fail "expected a V1 blob"
 
 let test_bit_flip_detected () =
@@ -112,15 +114,63 @@ let test_stale_replay_detected () =
      (blob v2 carries a fresh anti-replay nonce), then replay v1. *)
   Autarky.Pager.fetch pager [ b ];
   Autarky.Pager.evict pager [ b ];
-  let stale =
+  let stale, pcmd =
     match Sim_os.Swap_store.peek swap b with
-    | Some blob -> blob
+    | Some entry -> entry
     | None -> Alcotest.fail "no blob after eviction"
   in
   Autarky.Pager.fetch pager [ b ];
   Autarky.Pager.evict pager [ b ];
-  Sim_os.Swap_store.replace_raw swap b stale;
+  Sim_os.Swap_store.replace_raw swap b stale ~pcmd;
   expect_terminated ~sub:"stale" (fun () -> Autarky.Pager.fetch pager [ b ])
+
+(* --- a flipped bit anywhere in a stored row is caught ------------------ *)
+
+(* A bit of the row picked field by field, so the 24-byte trailer is hit
+   as often as the ciphertext: [field] 0 is the ciphertext, 1-3 the
+   vaddr, version and MAC words; [off] is taken modulo the field's
+   width in bits. *)
+let row_bit row (field, off) =
+  let n = Sim_crypto.Sealer.ciphertext_length row in
+  if field = 0 then off mod (8 * n) else (8 * n) + (64 * (field - 1)) + (off mod 64)
+
+let gen_row_bit = QCheck2.Gen.(pair (int_bound 3) nat)
+
+(* A V1 row, which EWB sealed (here: placed by [seal_for_swap] at boot),
+   fails ELDU.  A failed ELDU consumes nothing, so one system serves
+   every case. *)
+let v1_system = lazy (system_with_data ())
+
+let flipped_row_fails_eldu pick =
+  let sys, b = Lazy.force v1_system in
+  let swap = Sim_os.Kernel.swap (Harness.System.os sys) (Harness.System.proc sys) in
+  match Sim_os.Swap_store.peek swap b with
+  | Some (row, pcmd) -> (
+    match
+      Sgx.Instructions.eldu (Harness.System.machine sys) (Harness.System.enclave sys)
+        ~vpage:b (flip_bit row (row_bit row pick)) ~pcmd
+    with
+    | Error (`Mac_mismatch | `Replayed) -> true
+    | Ok _ | Error `Epc_full -> false)
+  | None -> false
+
+(* A V2 row, which the runtime sealed, makes the runtime's unseal fail:
+   the enclave terminates on a page integrity violation. *)
+let flipped_row_fails_runtime_unseal pick =
+  let sys, b = system_with_data ~mech:`Sgx2 () in
+  let pager = Autarky.Runtime.pager (Harness.System.runtime_exn sys) in
+  Sgx.Cpu.read (Harness.System.cpu sys) (b * Sgx.Types.page_bytes);
+  Autarky.Pager.evict pager [ b ];
+  let swap = Sim_os.Kernel.swap (Harness.System.os sys) (Harness.System.proc sys) in
+  match Sim_os.Swap_store.peek swap b with
+  | Some (row, pcmd) -> (
+    Sim_os.Swap_store.replace_raw swap b (flip_bit row (row_bit row pick)) ~pcmd;
+    match Autarky.Pager.fetch pager [ b ] with
+    | () -> false
+    | exception Sgx.Types.Enclave_terminated { reason; _ } ->
+      contains ~sub:"integrity violation" reason
+      && (contains ~sub:"MAC mismatch" reason || contains ~sub:"replayed" reason))
+  | None -> false
 
 (* --- transient EPC-exhaustion bursts are recovered by retry ---------- *)
 
@@ -270,3 +320,10 @@ let suite =
     Alcotest.test_case "small campaign: all verdicts safe and deterministic"
       `Quick test_small_campaign_verdicts;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        QCheck2.Test.make ~name:"a flipped row bit fails ELDU (V1)" ~count:400
+          gen_row_bit flipped_row_fails_eldu;
+        QCheck2.Test.make ~name:"a flipped row bit fails the runtime's unseal (V2)"
+          ~count:80 gen_row_bit flipped_row_fails_runtime_unseal;
+      ]

@@ -100,11 +100,15 @@ let test_fetch_evict_pages () =
 
 (* One steady-state SGXv1 page round trip through the kernel — EWB out
    through [ay_evict_pages], ELDU back through [ay_fetch_page] — may
-   allocate what the sealer hands back and 14 fixed words (the EWB blob
-   record and its swap-store constructor, the fetch hook's one-element
-   list, ELDU's [Ok frame]), but no hash-table bucket, option, queue
+   allocate what the sealer hands back and 8 fixed words (EWB's
+   row-and-PCMD pair, the fetch hook's one-element list, ELDU's
+   [Ok frame]), but no blob record, hash-table bucket, option, queue
    cell or boxed [Int64] on top.  The sealer's share is measured
-   directly, with its [Int64] arguments boxed the same way. *)
+   directly, with its [Int64] arguments boxed the same way: 43 words
+   at the default 64-byte payload (the 13-word row, the 10-word
+   plaintext, [Ok], the two digests and the four boxed arguments), so
+   a round trip comes to 51 words; with blob records it was 59, 14 of
+   them fixed. *)
 let test_swap_round_trip_allocation () =
   if Helpers.native then begin
     let _m, os, proc = setup ~self_paging:true () in
@@ -136,14 +140,15 @@ let test_swap_round_trip_allocation () =
       | Ok b -> ignore (Sys.opaque_identity b)
       | Error _ -> Alcotest.fail "unseal failed"
     in
-    (* Warm up: the first call sizes the sealer's MAC scratch buffer. *)
     seal_unseal ();
     let crypto = Helpers.words_allocated seal_unseal in
-    (* 7 (blob record) + 2 (V1) + 3 (hook list) + 2 (Ok frame). *)
+    (* 3 (row, PCMD) + 3 (hook list) + 2 (Ok frame). *)
     checkb
       (Printf.sprintf "%.0f words beyond the sealer's %.0f" (kernel -. crypto) crypto)
       true
-      (kernel -. crypto <= 14.)
+      (kernel -. crypto <= 8.);
+    if !Page_data.payload_bytes = 64 then
+      checkb (Printf.sprintf "%.0f words per round trip" kernel) true (kernel <= 51.)
   end
 
 let test_enclave_managed_pinned () =
@@ -193,7 +198,7 @@ let test_blob_store_load () =
   let sealed = Sim_crypto.Sealer.seal sealer ~vaddr:1L ~version:1L (Bytes.make 8 'x') in
   Sim_os.Kernel.blob_store os proc (vp proc 3) sealed;
   (match Sim_os.Kernel.blob_load os proc (vp proc 3) with
-  | Some s -> checkb "same blob" true (s.Sim_crypto.Sealer.mac = sealed.mac)
+  | Some s -> checkb "same blob" true (s == sealed)
   | None -> Alcotest.fail "blob lost");
   checkb "load consumes" true (Sim_os.Kernel.blob_load os proc (vp proc 3) = None)
 
@@ -278,14 +283,14 @@ type swap_op =
   | Mem of int
   | Delete of int
 
-let swap_blob tag =
-  Sim_os.Swap_store.V2
-    { Sim_crypto.Sealer.ciphertext = Bytes.empty; mac = 0L; vaddr = 0L;
-      version = Int64.of_int tag }
+(* An entry tagged twice, in its row's version and in its PCMD, so the
+   model checks that the two arrays stay paired. *)
+let swap_row tag =
+  Sim_crypto.Sealer.make ~ciphertext:Bytes.empty ~vaddr:0L
+    ~version:(Int64.of_int tag) ~mac:0L
 
-let swap_tag = function
-  | Sim_os.Swap_store.V2 s -> Int64.to_int s.Sim_crypto.Sealer.version
-  | Sim_os.Swap_store.V1 _ -> -1
+let swap_tag (row, pcmd) =
+  if Int64.to_int (Sim_crypto.Sealer.version row) = pcmd then pcmd else -1
 
 let gen_swap_op =
   QCheck2.Gen.(
@@ -309,17 +314,19 @@ let swap_store_agrees ops =
       let same =
         match op with
         | Put (p, t) ->
-          Sim_os.Swap_store.put st p (swap_blob t);
+          Sim_os.Swap_store.put st p (swap_row t) ~pcmd:t;
           Hashtbl.replace model p t;
           true
         | Replace (p, t) ->
-          Sim_os.Swap_store.replace_raw st p (swap_blob t);
+          Sim_os.Swap_store.replace_raw st p (swap_row t) ~pcmd:t;
           Hashtbl.replace model p t;
           true
         | Take p ->
           let expect = Hashtbl.find_opt model p in
           Hashtbl.remove model p;
-          tag_opt (Sim_os.Swap_store.take st p) = expect
+          let got = Sim_os.Swap_store.peek st p in
+          Sim_os.Swap_store.delete st p;
+          tag_opt got = expect
         | Peek p -> tag_opt (Sim_os.Swap_store.peek st p) = Hashtbl.find_opt model p
         | Mem p -> Sim_os.Swap_store.mem st p = Hashtbl.mem model p
         | Delete p ->
@@ -334,7 +341,10 @@ let swap_store_agrees ops =
              let s = Sim_os.Swap_store.slot st p in
              match Hashtbl.find_opt model p with
              | None -> s = -1
-             | Some t -> s >= 0 && swap_tag (Sim_os.Swap_store.blob_at st s) = t)
+             | Some t ->
+               s >= 0
+               && swap_tag (Sim_os.Swap_store.row_at st s, Sim_os.Swap_store.pcmd_at st s)
+                  = t)
            (List.init 96 Fun.id))
     ops
 
@@ -355,6 +365,62 @@ let[@inline never] boot_and_release m os =
   Weak.set w 0 (Some (Sim_os.Kernel.enclave proc));
   Sim_os.Kernel.release_proc os proc;
   w
+
+(* Boot a 512-page enclave with an EPC limit of 64 on [os], so 448 of
+   its pages start sealed in the swap store, each holding a VA slot. *)
+let boot_swapped os =
+  let proc =
+    Sim_os.Kernel.create_proc os ~size_pages:512 ~self_paging:true ~epc_limit:64
+  in
+  for i = 0 to 511 do
+    Sim_os.Kernel.add_initial_page os proc ~vpage:(vp proc i)
+      ~data:(Page_data.create ()) ~perms:Types.perms_rw
+  done;
+  Sim_os.Kernel.finalize os proc;
+  proc
+
+(* Releasing a tenant hands back the VA slots of its swapped-out pages:
+   six boot/release cycles reuse the one VA page the first boot
+   provisioned.  Leaked slots would leave 64 more free per cycle and
+   cost an EPA'd frame for good from the second cycle on. *)
+let test_release_frees_va_slots () =
+  let m = Helpers.machine ~epc_frames:256 () in
+  let os = Sim_os.Kernel.create m in
+  let after_release =
+    List.init 6 (fun _ ->
+        Sim_os.Kernel.release_proc os (boot_swapped os);
+        (Epc.free_frames m.epc, Machine.free_va_slots m))
+  in
+  Alcotest.(check (list (pair int int)))
+    "free EPC frames and VA slots after each release"
+    (List.init 6 (fun _ -> (255, 512)))
+    after_release
+
+(* Teardown frees a slot only while it holds the row's own version: an
+   entry the OS planted with another tenant's PCMD, naming that
+   tenant's live slot, leaves the slot alone, and the other tenant
+   still reloads its page. *)
+let test_release_spares_forged_slot () =
+  let m = Helpers.machine ~epc_frames:256 () in
+  let os = Sim_os.Kernel.create m in
+  let a = boot_swapped os and b = boot_swapped os in
+  let swap_a = Sim_os.Kernel.swap os a and swap_b = Sim_os.Kernel.swap os b in
+  let victim = vp b 100 in
+  let victim_pcmd =
+    match Sim_os.Swap_store.peek swap_b victim with
+    | Some (_, pcmd) -> pcmd
+    | None -> Alcotest.fail "page not swapped"
+  in
+  let slot = Instructions.pcmd_va_slot victim_pcmd in
+  let version = Machine.read_va_slot m slot in
+  (match Sim_os.Swap_store.peek swap_a (vp a 100) with
+  | Some (row, _) -> Sim_os.Swap_store.replace_raw swap_a (vp a 100) row ~pcmd:victim_pcmd
+  | None -> Alcotest.fail "page not swapped");
+  Sim_os.Kernel.release_proc os a;
+  checki "victim's slot keeps its version" version (Machine.read_va_slot m slot);
+  match Sim_os.Kernel.page_in_os_managed os b victim with
+  | Ok () -> checkb "victim reloaded" true (Sim_os.Kernel.resident os b victim)
+  | Error e -> Alcotest.failf "reload failed: %a" Sim_os.Kernel.pp_fetch_error e
 
 (* Nothing on the machine or in the kernel may pin a released enclave
    (through [Enclave.entry] it reaches the runtime, the pager and the
@@ -393,6 +459,8 @@ let suite =
     ("fetch fails when exhausted", `Quick, test_fetch_fails_when_exhausted);
     ("ay_aug/remove pages", `Quick, test_aug_remove_pages);
     ("blob store/load", `Quick, test_blob_store_load);
+    ("release frees VA slots", `Quick, test_release_frees_va_slots);
+    ("release spares a forged PCMD's slot", `Quick, test_release_spares_forged_slot);
     ("syscall charges", `Quick, test_syscall_charges);
     ("self-paging fault forces handler", `Quick, test_selfpaging_fault_forces_handler);
     ("legacy silent resume", `Quick, test_legacy_silent_resume_counter);

@@ -78,11 +78,11 @@ let test_pager_sgx2_replay_detected () =
   Autarky.Pager.evict pager pages;
   (* The OS squirrels away the sealed blob... *)
   let swap = Sim_os.Kernel.swap (Harness.System.os sys) (Harness.System.proc sys) in
-  let stale = Option.get (Sim_os.Swap_store.peek swap p) in
+  let stale, pcmd = Option.get (Sim_os.Swap_store.peek swap p) in
   Autarky.Pager.fetch pager pages;
   Autarky.Pager.evict pager pages;
   (* ...and replays the stale version. *)
-  Sim_os.Swap_store.replace_raw swap p stale;
+  Sim_os.Swap_store.replace_raw swap p stale ~pcmd;
   checkb "replay terminates the enclave" true
     (try Autarky.Pager.fetch pager pages; false
      with Types.Enclave_terminated _ -> true)

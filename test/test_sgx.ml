@@ -349,10 +349,10 @@ let test_ewb_eldu_roundtrip () =
   let m = Helpers.machine () in
   let e, pt = Helpers.enclave_with_pages m in
   let vp = e.base_vpage + 3 in
-  let sw = Helpers.ewb_protocol m e ~vpage:vp in
+  let row, pcmd = Helpers.ewb_protocol m e ~vpage:vp in
   Page_table.unmap pt vp;
   checkb "frame freed" true (Epc.frame_of m.epc ~enclave_id:e.id ~vpage:vp = None);
-  (match Instructions.eldu m e sw with
+  (match Instructions.eldu m e ~vpage:vp row ~pcmd with
   | Ok frame ->
     checki "content preserved" 1003 (Page_data.read_int (Epc.data m.epc frame))
   | Error _ -> Alcotest.fail "eldu failed")
@@ -361,11 +361,13 @@ let test_eldu_rejects_replay () =
   let m = Helpers.machine () in
   let e, _pt = Helpers.enclave_with_pages m in
   let vp = e.base_vpage + 1 in
-  let old = Helpers.ewb_protocol m e ~vpage:vp in
+  let old, old_pcmd = Helpers.ewb_protocol m e ~vpage:vp in
   (* Page comes back in, then is evicted again: old blob is stale. *)
-  (match Instructions.eldu m e old with Ok _ -> () | Error _ -> Alcotest.fail "eldu");
+  (match Instructions.eldu m e ~vpage:vp old ~pcmd:old_pcmd with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "eldu");
   let _fresh = Helpers.ewb_protocol m e ~vpage:vp in
-  match Instructions.eldu m e old with
+  match Instructions.eldu m e ~vpage:vp old ~pcmd:old_pcmd with
   | Error `Replayed -> ()
   | Ok _ -> Alcotest.fail "replayed blob accepted"
   | Error e -> Alcotest.failf "wrong error %a" Instructions.pp_eldu_error e
@@ -373,11 +375,11 @@ let test_eldu_rejects_replay () =
 let test_eldu_rejects_tamper () =
   let m = Helpers.machine () in
   let e, _pt = Helpers.enclave_with_pages m in
-  let sw = Helpers.ewb_protocol m e ~vpage:(e.base_vpage + 2) in
-  let ct = Bytes.copy sw.sw_sealed.ciphertext in
-  Bytes.set ct 0 (Char.chr (Char.code (Bytes.get ct 0) lxor 0x80));
-  let tampered = { sw with sw_sealed = { sw.sw_sealed with ciphertext = ct } } in
-  match Instructions.eldu m e tampered with
+  let vp = e.base_vpage + 2 in
+  let row, pcmd = Helpers.ewb_protocol m e ~vpage:vp in
+  let b = Sim_crypto.Sealer.to_bytes row in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));
+  match Instructions.eldu m e ~vpage:vp (Sim_crypto.Sealer.of_bytes b) ~pcmd with
   | Error `Mac_mismatch -> ()
   | Ok _ -> Alcotest.fail "tampered blob accepted"
   | Error _ -> Alcotest.fail "wrong error"
@@ -386,9 +388,9 @@ let test_eldu_wrong_enclave () =
   let m = Helpers.machine () in
   let e1, _ = Helpers.enclave_with_pages m in
   let e2, _ = Helpers.enclave_with_pages m in
-  let sw = Helpers.ewb_protocol m e1 ~vpage:e1.base_vpage in
+  let row, pcmd = Helpers.ewb_protocol m e1 ~vpage:e1.base_vpage in
   checkb "cross-enclave eldu rejected" true
-    (try ignore (Instructions.eldu m e2 sw); false
+    (try ignore (Instructions.eldu m e2 ~vpage:e1.base_vpage row ~pcmd); false
      with Types.Sgx_error _ -> true)
 
 let test_ewb_epc_accounting () =
