@@ -7,16 +7,17 @@ type t = {
   os : Os_iface.t;
   pager_mech : mech;
   mutable budget : int;
-  resident_set : Sgx.Flat.t;  (* vpage -> 1 when resident *)
   (* FIFO of (page, seq) as a power-of-two int ring: only the entry
-     carrying a page's latest seq is live, so a page refetched after
-     eviction takes a fresh position at the back instead of inheriting
-     its ancient slot. *)
+     carrying a resident page's latest seq is live, so a page refetched
+     after eviction takes a fresh position at the back instead of
+     inheriting its ancient slot. *)
   mutable fq_vp : int array;
   mutable fq_seq : int array;
   mutable fq_head : int;  (* absolute pop index *)
   mutable fq_tail : int;  (* absolute push index *)
-  seq_of : Sgx.Flat.t;  (* vpage -> latest seq (>= 1) *)
+  seq_of : Sgx.Flat.t;
+      (* resident vpage -> its seq (>= 1); a page is resident exactly
+         when it has one, so this is also the residence set *)
   mutable seq_counter : int;
   sealer : Sim_crypto.Sealer.t;  (* runtime paging keys (SGXv2 path) *)
   versions : Sgx.Flat.t;  (* vpage -> version; monotonic from 1, fits an int *)
@@ -45,7 +46,6 @@ let create ~machine ~enclave ~os ~mech ~budget =
     os;
     pager_mech = mech;
     budget;
-    resident_set = Sgx.Flat.create ();
     fq_vp = Array.make 64 0;
     fq_seq = Array.make 64 0;
     fq_head = 0;
@@ -68,8 +68,8 @@ let create ~machine ~enclave ~os ~mech ~budget =
 let mech t = t.pager_mech
 let budget t = t.budget
 let set_budget t n = t.budget <- n
-let resident t vp = Sgx.Flat.mem t.resident_set vp
-let resident_count t = Sgx.Flat.length t.resident_set
+let resident t vp = Sgx.Flat.mem t.seq_of vp
+let resident_count t = Sgx.Flat.length t.seq_of
 let incr _t cell = Metrics.Counters.cell_incr cell
 let charge t n = Sgx.Machine.charge t.machine n
 
@@ -98,19 +98,17 @@ let fq_push t vp seq =
   t.fq_tail <- t.fq_tail + 1
 
 let mark_resident t vp =
-  if not (Sgx.Flat.mem t.resident_set vp) then begin
-    Sgx.Flat.set t.resident_set vp 1;
+  if not (resident t vp) then begin
     t.seq_counter <- t.seq_counter + 1;
     Sgx.Flat.set t.seq_of vp t.seq_counter;
     fq_push t vp t.seq_counter
   end
 
-(* Seqs start at 1 and [Flat.find] returns -1 when absent, so the seq
-   comparison alone never matches a page the tracker forgot. *)
-let live_entry t vp seq =
-  Sgx.Flat.mem t.resident_set vp && Sgx.Flat.find t.seq_of vp = seq
+(* Seqs start at 1 and [Flat.find] returns -1 for an evicted page, so
+   the one lookup both checks residence and matches the seq. *)
+let live_entry t vp seq = Sgx.Flat.find t.seq_of vp = seq
 
-let mark_evicted t vp = Sgx.Flat.remove t.resident_set vp
+let mark_evicted t vp = Sgx.Flat.remove t.seq_of vp
 
 let note_initial_residence t statuses =
   List.iter (fun (vp, is_resident) -> if is_resident then mark_resident t vp) statuses

@@ -5,11 +5,11 @@
     lookup is a bounds check and one load, and {!find} returns
     {!absent} ([-1]) for a missing key instead of an [option].  Keys and
     values must be non-negative.  Used for the simulator's per-enclave
-    page state (residence, seq and version sets, enclave-managed and
-    intended-perms tables, swap index, fault counts, cluster slots, the
-    EPCM reverse index, one window per enclave) and the VA-slot
-    versions, all keyed by the pages of one contiguous region or by ids
-    counted from 0.
+    page state (page tables, the pager's seq and version sets,
+    enclave-managed and intended-perms tables, swap index, fault counts,
+    cluster slots, the EPCM reverse index, one window per enclave) and
+    the VA-slot versions, all keyed by the pages of one contiguous
+    region or by ids counted from 0.
 
     {b Hazard: the window spans every key it has held.}  Setting keys
     [a] and [b] allocates at least [|a - b|] slots (8 bytes each), and

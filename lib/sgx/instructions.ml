@@ -3,21 +3,15 @@
 let pcmd_slot_bits = 30
 let pcmd_id_bits = 62 - 5 - pcmd_slot_bits
 
-let ptype_code = function
-  | Types.Pt_reg -> 0 | Types.Pt_tcs -> 1 | Types.Pt_trim -> 2 | Types.Pt_va -> 3
-
-let ptype_of_code = function
-  | 0 -> Types.Pt_reg | 1 -> Types.Pt_tcs | 2 -> Types.Pt_trim | _ -> Types.Pt_va
-
 let pcmd ~enclave_id ~perms ~ptype ~va_slot =
   if va_slot lsr pcmd_slot_bits <> 0 || enclave_id lsr pcmd_id_bits <> 0 then
     Types.sgx_errorf "PCMD: enclave %d / VA slot %d out of range" enclave_id va_slot;
   (((enclave_id lsl pcmd_slot_bits) lor va_slot) lsl 5)
-  lor (ptype_code ptype lsl 3)
+  lor (Epc.ptype_code ptype lsl 3)
   lor Types.perms_bits perms
 
 let pcmd_perms p = Types.perms_of_bits p
-let pcmd_ptype p = ptype_of_code ((p lsr 3) land 3)
+let pcmd_ptype p = Epc.ptype_of_code ((p lsr 3) land 3)
 let pcmd_va_slot p = (p lsr 5) land ((1 lsl pcmd_slot_bits) - 1)
 let pcmd_enclave_id p = p lsr (5 + pcmd_slot_bits)
 
@@ -207,9 +201,8 @@ let epa m =
 let eblock m (enclave : Enclave.t) ~vpage =
   let cm = Machine.model m in
   let frame = require_frame m enclave ~vpage ~who:"EBLOCK" in
-  let entry = Epc.entry m.epc frame in
-  if not entry.blocked then begin
-    entry.blocked <- true;
+  if not (Epc.blocked (Epc.entry m.epc frame)) then begin
+    Epc.set_blocked m.epc frame true;
     enclave.blocked_since_track <- enclave.blocked_since_track + 1
   end;
   Tlb.flush_page m.tlb vpage;
@@ -229,9 +222,9 @@ let ewb m (enclave : Enclave.t) ~vpage =
   let cm = Machine.model m in
   let frame = require_frame m enclave ~vpage ~who:"EWB" in
   let entry = Epc.entry m.epc frame in
-  if entry.pending || entry.modified then
+  if Epc.pending entry || Epc.modified entry then
     Types.sgx_errorf "EWB: page 0x%x in transient state" vpage;
-  if not entry.blocked then
+  if not (Epc.blocked entry) then
     Types.sgx_errorf "EWB: page 0x%x not blocked (run EBLOCK)" vpage;
   if enclave.blocked_since_track > 0 then
     Types.sgx_errorf "EWB: tracking epoch not retired (run ETRACK)";
@@ -245,7 +238,8 @@ let ewb m (enclave : Enclave.t) ~vpage =
       (Page_data.to_bytes (Epc.data m.epc frame))
   in
   let pcmd =
-    pcmd ~enclave_id:enclave.id ~perms:entry.perms ~ptype:entry.ptype ~va_slot:slot
+    pcmd ~enclave_id:enclave.id ~perms:(Epc.perms entry) ~ptype:(Epc.ptype entry)
+      ~va_slot:slot
   in
   Epc.release m.epc frame;
   Machine.charge m (cm.ewb + Metrics.Cost_model.hw_page_crypto cm);
@@ -321,21 +315,20 @@ let eaccept m (enclave : Enclave.t) ~vpage =
   let cm = Machine.model m in
   let frame = require_frame m enclave ~vpage ~who:"EACCEPT" in
   let entry = Epc.entry m.epc frame in
-  if not (entry.pending || entry.modified) then
+  if not (Epc.pending entry || Epc.modified entry) then
     Types.sgx_errorf "EACCEPT: page 0x%x has nothing to accept" vpage;
-  entry.pending <- false;
-  entry.modified <- false;
+  Epc.set_pending m.epc frame false;
+  Epc.set_modified m.epc frame false;
   Machine.charge m cm.eaccept;
   incr (Machine.hot m).Machine.c_eaccept
 
 let eacceptcopy m (enclave : Enclave.t) ~vpage ~data =
   let cm = Machine.model m in
   let frame = require_frame m enclave ~vpage ~who:"EACCEPTCOPY" in
-  let entry = Epc.entry m.epc frame in
-  if not entry.pending then
+  if not (Epc.pending (Epc.entry m.epc frame)) then
     Types.sgx_errorf "EACCEPTCOPY: page 0x%x not pending" vpage;
-  entry.pending <- false;
-  entry.perms <- Types.perms_rw;
+  Epc.set_pending m.epc frame false;
+  Epc.set_perms m.epc frame Types.perms_rw;
   Epc.set_data m.epc frame data;
   Machine.charge m cm.eacceptcopy;
   incr (Machine.hot m).Machine.c_eacceptcopy
@@ -344,11 +337,11 @@ let emodpr m (enclave : Enclave.t) ~vpage ~perms =
   let cm = Machine.model m in
   let frame = require_frame m enclave ~vpage ~who:"EMODPR" in
   let entry = Epc.entry m.epc frame in
-  if entry.pending then Types.sgx_errorf "EMODPR: page 0x%x pending" vpage;
-  if not (Types.perms_subset perms entry.perms) then
+  if Epc.pending entry then Types.sgx_errorf "EMODPR: page 0x%x pending" vpage;
+  if not (Types.perms_subset perms (Epc.perms entry)) then
     Types.sgx_errorf "EMODPR: cannot extend permissions of page 0x%x" vpage;
-  entry.perms <- perms;
-  entry.modified <- true;
+  Epc.set_perms m.epc frame perms;
+  Epc.set_modified m.epc frame true;
   (* OS-side TLB shootdown required for the restriction to take effect. *)
   Tlb.flush_page m.tlb vpage;
   Machine.charge m (cm.emodpr + cm.tlb_shootdown);
@@ -357,10 +350,10 @@ let emodpr m (enclave : Enclave.t) ~vpage ~perms =
 let emodt m (enclave : Enclave.t) ~vpage =
   let cm = Machine.model m in
   let frame = require_frame m enclave ~vpage ~who:"EMODT" in
-  let entry = Epc.entry m.epc frame in
-  if entry.pending then Types.sgx_errorf "EMODT: page 0x%x pending" vpage;
-  entry.ptype <- Types.Pt_trim;
-  entry.modified <- true;
+  if Epc.pending (Epc.entry m.epc frame) then
+    Types.sgx_errorf "EMODT: page 0x%x pending" vpage;
+  Epc.set_ptype m.epc frame Types.Pt_trim;
+  Epc.set_modified m.epc frame true;
   Tlb.flush_page m.tlb vpage;
   Machine.charge m (cm.emodt + cm.tlb_shootdown);
   incr (Machine.hot m).Machine.c_emodt
@@ -370,7 +363,8 @@ let eremove m (enclave : Enclave.t) ~vpage =
   let frame = require_frame m enclave ~vpage ~who:"EREMOVE" in
   let entry = Epc.entry m.epc frame in
   let enclave_dead = match enclave.state with Enclave.Dead _ -> true | _ -> false in
-  if not (enclave_dead || (entry.ptype = Types.Pt_trim && not entry.modified)) then
+  if not (enclave_dead || (Epc.ptype entry = Types.Pt_trim && not (Epc.modified entry)))
+  then
     Types.sgx_errorf "EREMOVE: page 0x%x not trimmed and accepted" vpage;
   Epc.release m.epc frame;
   Machine.charge m cm.eremove;

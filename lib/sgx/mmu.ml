@@ -25,12 +25,12 @@ let walk_code (m : Machine.t) (pt : Page_table.t) (enclave : Enclave.t) vp kind 
     let epcm = Machine.(m.epc) in
     if frame < 0 || frame >= Epc.total_frames epcm then code_non_epc
     else
-      let entry = Epc.entry epcm frame in
-      if not entry.valid || entry.enclave_id <> enclave.id || entry.vpage <> vp
+      let e = Epc.entry epcm frame in
+      if not (Epc.valid e) || Epc.enclave_id e <> enclave.id || Epc.vpage e <> vp
       then code_epcm_mismatch
-      else if entry.pending || entry.modified then code_epcm_pending
-      else if entry.blocked then code_not_present
-      else if not (Types.perms_allow entry.perms kind) then
+      else if Epc.pending e || Epc.modified e then code_epcm_pending
+      else if Epc.blocked e then code_not_present
+      else if not (Types.bits_allow (Epc.perm_bits e) kind) then
         code_perm_base - Types.access_kind_index kind
       else if enclave.self_paging then begin
         (* Autarky: the fetched PTE's A/D bits must already be set;

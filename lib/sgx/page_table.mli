@@ -4,15 +4,18 @@
     may read and modify every PTE (that is the controlled channel).  The
     hardware (MMU + EPCM) only checks it.
 
-    PTEs are bit-packed ints over a dense vpage-window array so the MMU
-    walk path allocates nothing: bit 0 present, bits 1-3 r/w/x, bit 4
-    accessed, bit 5 dirty, bits 6+ frame.  {!find_packed} returns
-    {!no_pte} ([-1]) for a missing PTE; every real PTE packs to a
-    non-negative int.  {!Page_table_ref} is the boxed reference
+    PTEs are bit-packed ints in a {!Flat} window map keyed by vpage, so
+    the MMU walk path allocates nothing: bit 0 present, bits 1-3 r/w/x,
+    bit 4 accessed, bit 5 dirty, bits 6+ frame.  Every real PTE packs to
+    a non-negative int, so a missing one is the window's
+    {!Flat.absent}: {!find_packed} returns {!no_pte} ([-1]).  The table
+    is the window itself, so it grows toward the vpage it is given
+    (descending maps cost what ascending ones do) and snapshots through
+    the {!Flat} raw state.  {!Page_table_ref} is the boxed reference
     implementation with the same interface, kept as a differential
     oracle. *)
 
-type t
+type t = Flat.t
 
 val create : unit -> t
 
@@ -43,7 +46,8 @@ val map :
   ?accessed:bool -> ?dirty:bool -> unit -> unit
 (** Install or replace a PTE. [accessed]/[dirty] default to [false]
     (legacy OS behaviour); an Autarky-aware OS installs PTEs for
-    self-paging enclaves with both set. *)
+    self-paging enclaves with both set.  Raises [Invalid_argument] on a
+    negative vpage or frame. *)
 
 val map_packed : t -> vpage:Types.vpage -> int -> unit
 (** [map] with the PTE already packed by {!pack}: no optional arguments
@@ -67,7 +71,8 @@ val set_present : t -> Types.vpage -> bool -> unit
 
 val set_frame : t -> Types.vpage -> Types.frame -> unit
 (** Repoint an existing PTE (the attacker's remap primitive).  Raises
-    [Not_found] if the page has no PTE. *)
+    [Not_found] if the page has no PTE, [Invalid_argument] on a negative
+    frame. *)
 
 val set_ad : t -> Types.vpage -> write:bool -> unit
 (** The legacy walk's writeback: set accessed, and dirty when [write].
@@ -81,15 +86,3 @@ val mapped_pages : t -> Types.vpage list
 
 val count_present : t -> int
 val count_mapped : t -> int
-
-(** {1 Raw state (snapshot/restore)}
-
-    The dense window verbatim: base vpage, packed PTE array (including
-    unmapped [no_pte] slack slots) and entry count. *)
-
-type raw = { raw_base : int; raw_tbl : int array; raw_entries : int }
-
-val export_state : t -> raw
-val import_state : raw -> t
-(** Raises [Invalid_argument] on negative base or an entry count that
-    exceeds the window. *)

@@ -4,8 +4,9 @@
    Two serialization engines coexist in this library on purpose.  The
    whole-world capture goes through [Marshal] (closures included; see
    {!Snapshot}), which preserves sharing and cycles but is opaque.
-   The *hot* flat structures — [Sgx.Flat], [Sgx.Tlb], [Sgx.Page_table]
-   — additionally get these explicit, versioned codecs: they are the
+   The *hot* flat structures — [Sgx.Flat] (which is also every
+   [Sgx.Page_table]) and [Sgx.Tlb] — additionally get these explicit,
+   versioned codecs: they are the
    subject of the QCheck round-trip suite and the input of the probe
    digest that cross-checks a restore against the capture-time state,
    so a Marshal regression (or an unintended representation change)
@@ -90,7 +91,6 @@ end
    the wrong section fails loudly instead of reinterpreting arrays. *)
 let tag_flat = 0xF1
 let tag_tlb = 0xF2
-let tag_page_table = 0xF3
 
 let check_tag r expected name =
   let t = R.u8 r in
@@ -148,17 +148,3 @@ let read_tlb r =
       raw_head;
       raw_tail;
     }
-
-let write_page_table b t =
-  let r = Sgx.Page_table.export_state t in
-  W.u8 b tag_page_table;
-  W.int_ b r.Sgx.Page_table.raw_base;
-  W.int_array b r.Sgx.Page_table.raw_tbl;
-  W.int_ b r.Sgx.Page_table.raw_entries
-
-let read_page_table r =
-  check_tag r tag_page_table "read_page_table";
-  let raw_base = R.int_ r in
-  let raw_tbl = R.int_array r in
-  let raw_entries = R.int_ r in
-  Sgx.Page_table.import_state { Sgx.Page_table.raw_base; raw_tbl; raw_entries }

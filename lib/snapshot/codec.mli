@@ -54,9 +54,7 @@ end
 
 val write_flat : Buffer.t -> Sgx.Flat.t -> unit
 val read_flat : R.t -> Sgx.Flat.t
+(** Also the page-table codec: a {!Sgx.Page_table.t} is a {!Sgx.Flat.t}. *)
 
 val write_tlb : Buffer.t -> Sgx.Tlb.t -> unit
 val read_tlb : R.t -> Sgx.Tlb.t
-
-val write_page_table : Buffer.t -> Sgx.Page_table.t -> unit
-val read_page_table : R.t -> Sgx.Page_table.t

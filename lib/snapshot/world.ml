@@ -38,12 +38,6 @@ let of_payload (b : bytes) =
 
 (* --- the machine probe ------------------------------------------------- *)
 
-let ptype_code = function
-  | Sgx.Types.Pt_reg -> 0
-  | Sgx.Types.Pt_tcs -> 1
-  | Sgx.Types.Pt_trim -> 2
-  | Sgx.Types.Pt_va -> 3
-
 let mode_code = function
   | Sgx.Machine.Full_exits -> 0
   | Sgx.Machine.No_upcall -> 1
@@ -69,17 +63,9 @@ let probe (m : Sgx.Machine.t) =
   Codec.W.u32 b (Sgx.Epc.free_frames epc);
   for f = 0 to frames - 1 do
     let e = Sgx.Epc.entry epc f in
-    let flags =
-      (if e.Sgx.Epc.valid then 1 else 0)
-      lor (if e.Sgx.Epc.pending then 2 else 0)
-      lor (if e.Sgx.Epc.modified then 4 else 0)
-      lor (if e.Sgx.Epc.blocked then 8 else 0)
-      lor (Sgx.Types.perms_bits e.Sgx.Epc.perms lsl 4)
-      lor (ptype_code e.Sgx.Epc.ptype lsl 8)
-    in
-    Codec.W.u32 b flags;
-    Codec.W.int_ b e.Sgx.Epc.enclave_id;
-    Codec.W.int_ b e.Sgx.Epc.vpage;
+    Codec.W.u32 b (Sgx.Epc.flags e);
+    Codec.W.int_ b (Sgx.Epc.enclave_id e);
+    Codec.W.int_ b (Sgx.Epc.vpage e);
     Buffer.add_bytes b (Sgx.Page_data.to_bytes (Sgx.Epc.data epc f))
   done;
   Codec.write_tlb b m.Sgx.Machine.tlb;

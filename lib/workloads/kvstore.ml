@@ -15,7 +15,10 @@ let chunk_bytes value_bytes =
   (raw + 63) / 64 * 64
 
 let create ~vm ~alloc ~rng ~n_entries ~value_bytes ?(slab_pages = 16) () =
-  assert (n_entries > 0 && value_bytes > 0 && slab_pages > 0);
+  if n_entries <= 0 then invalid_arg "Kvstore.create: n_entries must be positive";
+  if value_bytes <= 0 then
+    invalid_arg "Kvstore.create: value_bytes must be positive";
+  if slab_pages <= 0 then invalid_arg "Kvstore.create: slab_pages must be positive";
   let index_buckets = n_entries in
   let index_base = alloc ~bytes:(8 * index_buckets) in
   let chunk = chunk_bytes value_bytes in

@@ -14,7 +14,9 @@ val create :
   vm:Vm.t -> alloc:(bytes:int -> int) -> rng:Metrics.Rng.t ->
   n_entries:int -> value_bytes:int -> ?slab_pages:int -> unit -> t
 (** Populate with [n_entries] items of [value_bytes].  [slab_pages]
-    (default 16) is the contiguous page run carved per slab. *)
+    (default 16) is the contiguous page run carved per slab.  Raises
+    [Invalid_argument] naming [n_entries], [value_bytes] or [slab_pages]
+    unless each is positive. *)
 
 val get : t -> key:int -> bool
 (** One GET through [vm]; also emits one progress event (the paper's

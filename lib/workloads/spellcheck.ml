@@ -5,7 +5,8 @@ type dictionary = {
 }
 
 let load_dictionary ~vm ~alloc ~rng ~name ~n_words ?(entry_bytes = 64) () =
-  assert (n_words > 0);
+  if n_words <= 0 then
+    invalid_arg "Spellcheck.load_dictionary: n_words must be positive";
   let table =
     Uthash.create ~vm ~alloc ~rng ~n_items:n_words ~item_bytes:entry_bytes
       ~target_chain:4

@@ -18,7 +18,9 @@ val load_dictionary :
   vm:Vm.t -> alloc:(bytes:int -> int) -> rng:Metrics.Rng.t ->
   name:string -> n_words:int -> ?entry_bytes:int -> unit -> dictionary
 (** Build a dictionary of [n_words] synthetic words ([entry_bytes]
-    defaults to 64 — a word plus affix flags). *)
+    defaults to 64 — a word plus affix flags).  Raises [Invalid_argument]
+    naming [n_words] unless it is positive (and, from {!Uthash.create},
+    [item_bytes] unless [entry_bytes] is). *)
 
 val name : dictionary -> string
 val n_words : dictionary -> int

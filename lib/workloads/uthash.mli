@@ -11,7 +11,12 @@
 
     Like uthash's internal expansion, {!rehash} doubles the bucket array
     and relinks nodes in place (no data movement), halving mean chain
-    length. *)
+    length.
+
+    The host representation is two words per item, its address and its
+    chain successor, in one int array indexed by key: the key is the
+    item's insertion index, so a chain step compares without a load.
+    Nothing modeled reads this layout. *)
 
 type t
 
@@ -20,7 +25,9 @@ val create :
   n_items:int -> item_bytes:int -> target_chain:int -> t
 (** Build a table of [n_items] items of [item_bytes] each, with
     [n_items / target_chain] buckets (so chains average [target_chain]).
-    Insertion traffic goes through [vm]. *)
+    Insertion traffic goes through [vm].  Raises [Invalid_argument]
+    naming [n_items], [item_bytes] or [target_chain] unless each is
+    positive. *)
 
 val n_items : t -> int
 val n_buckets : t -> int
@@ -28,7 +35,8 @@ val mean_chain_length : t -> float
 
 val find : t -> key:int -> bool
 (** Look a key up through [vm]; keys are [0 .. n_items) from insertion
-    order. *)
+    order, and any other int misses after a full chain walk.  Allocates
+    nothing beyond what [vm]'s callbacks do. *)
 
 val rehash : t -> unit
 (** Double the bucket array and redistribute chains (bucket expansion). *)

@@ -383,7 +383,7 @@ let epc_property ops =
       | None -> ())
     | _ ->
       List.iter
-        (fun frame -> release_frame (eid, (Epc.entry epc frame).Epc.vpage) frame)
+        (fun frame -> release_frame (eid, Epc.vpage (Epc.entry epc frame)) frame)
         (Epc.frames_of_enclave epc ~enclave_id:eid);
       Epc.drop_enclave epc ~enclave_id:eid
   in
@@ -406,6 +406,204 @@ let epc_property ops =
       apply op;
       agrees ())
     (List.mapi (fun i op -> (i, op)) ops)
+
+(* --- EPCM entries: packed ints against the record they replaced ------ *)
+
+(* The mutable record an EPCM entry used to be, and its semantics:
+   [bind] sets every field, a setter one, and [release] clears all but
+   the perms and the type. *)
+type model_entry = {
+  mutable m_valid : bool;
+  mutable m_id : int;
+  mutable m_vpage : int;
+  mutable m_perms : Types.perms;
+  mutable m_ptype : Types.page_type;
+  mutable m_pending : bool;
+  mutable m_modified : bool;
+  mutable m_blocked : bool;
+}
+
+let epcm_frames = 16
+
+let ptype_of i =
+  match i mod 4 with
+  | 0 -> Types.Pt_reg | 1 -> Types.Pt_tcs | 2 -> Types.Pt_trim | _ -> Types.Pt_va
+
+(* The snapshot probe's flags word, from the record fields, with the
+   probe's own type codes. *)
+let model_flags m =
+  (if m.m_valid then 1 else 0)
+  lor (if m.m_pending then 2 else 0)
+  lor (if m.m_modified then 4 else 0)
+  lor (if m.m_blocked then 8 else 0)
+  lor (Types.perms_bits m.m_perms lsl 4)
+  lor ((match m.m_ptype with
+       | Types.Pt_reg -> 0 | Types.Pt_tcs -> 1 | Types.Pt_trim -> 2 | Types.Pt_va -> 3)
+      lsl 8)
+
+(* Random binds (enclave pages, VA pages, the largest id and vpage an
+   entry holds), out-of-range binds that must raise [Sgx_error] and
+   leave the entry alone, per-field setters on any frame, and releases.
+   After every op each frame decodes to its model record, the reverse
+   index and [frames_of_enclave] agree with the model, and so does the
+   free count. *)
+let epcm_property ops =
+  let epc = Epc.create ~frames:epcm_frames in
+  let model =
+    Array.init epcm_frames (fun _ ->
+        {
+          m_valid = false;
+          m_id = -1;
+          m_vpage = -1;
+          m_perms = Types.perms_ro;
+          m_ptype = Types.Pt_reg;
+          m_pending = false;
+          m_modified = false;
+          m_blocked = false;
+        })
+  in
+  let in_use = ref 0 in
+  let ok = ref true in
+  let bind ?(track_reverse = true) f ~id ~vpage ~perms ~ptype ~pending =
+    Epc.bind ~track_reverse epc ~frame:f ~enclave_id:id ~vpage ~perms ~ptype ~pending;
+    let m = model.(f) in
+    m.m_valid <- true;
+    m.m_id <- id;
+    m.m_vpage <- vpage;
+    m.m_perms <- perms;
+    m.m_ptype <- ptype;
+    m.m_pending <- pending;
+    m.m_modified <- false;
+    m.m_blocked <- false
+  in
+  let release f =
+    Epc.release epc f;
+    decr in_use;
+    let m = model.(f) in
+    m.m_valid <- false;
+    m.m_id <- -1;
+    m.m_vpage <- -1;
+    m.m_pending <- false;
+    m.m_modified <- false;
+    m.m_blocked <- false
+  in
+  let alloc () =
+    let f = Epc.alloc epc in
+    if f >= 0 then incr in_use;
+    f
+  in
+  let apply (op, a, b) =
+    let f = a mod epcm_frames and m = model.(a mod epcm_frames) in
+    let perms = perms_of_bits b and ptype = ptype_of (b lsr 3) in
+    match op mod 10 with
+    | 0 | 1 ->
+      (* An enclave page is bound to at most one frame, as EADD, EAUG
+         and ELDU ensure. *)
+      let id = 1 + (a mod 3) and vpage = epc_base + (b mod epc_vpages) in
+      let taken = Array.exists (fun m -> m.m_valid && m.m_id = id && m.m_vpage = vpage) model in
+      let fr = if taken then -1 else alloc () in
+      if fr >= 0 then bind fr ~id ~vpage ~perms ~ptype ~pending:(b land 0x100 <> 0)
+    | 2 ->
+      let fr = alloc () in
+      if fr >= 0 then
+        if a land 1 = 0 then
+          bind ~track_reverse:false fr ~id:(-1) ~vpage:(-1) ~perms:Types.perms_ro
+            ~ptype:Types.Pt_va ~pending:false
+        else
+          bind ~track_reverse:false fr ~id:Epc.max_enclave_id ~vpage:Epc.max_vpage
+            ~perms ~ptype ~pending:true
+    | 3 ->
+      let fr = alloc () in
+      if fr >= 0 then begin
+        let id, vpage =
+          match a mod 4 with
+          | 0 -> (Epc.max_enclave_id + 1 + b, epc_base)
+          | 1 -> (1, Epc.max_vpage + 1 + b)
+          | 2 -> (-2 - b, epc_base)
+          | _ -> (1, -2 - b)
+        in
+        let before = Epc.entry epc fr in
+        (match
+           Epc.bind epc ~frame:fr ~enclave_id:id ~vpage ~perms ~ptype ~pending:false
+         with
+        | () -> ok := false
+        | exception Types.Sgx_error _ -> ());
+        ok := !ok && Epc.entry epc fr = before;
+        release fr
+      end
+    | 4 -> if m.m_valid then release f
+    | 5 ->
+      Epc.set_pending epc f (b land 1 = 1);
+      m.m_pending <- b land 1 = 1
+    | 6 ->
+      Epc.set_modified epc f (b land 1 = 1);
+      m.m_modified <- b land 1 = 1
+    | 7 ->
+      Epc.set_blocked epc f (b land 1 = 1);
+      m.m_blocked <- b land 1 = 1
+    | 8 ->
+      Epc.set_perms epc f perms;
+      m.m_perms <- perms
+    | _ ->
+      Epc.set_ptype epc f ptype;
+      m.m_ptype <- ptype
+  in
+  let agrees () =
+    let fine = ref (Epc.free_frames epc = epcm_frames - !in_use) in
+    Array.iteri
+      (fun f m ->
+        let e = Epc.entry epc f in
+        fine :=
+          !fine && e >= 0
+          && Epc.valid e = m.m_valid
+          && Epc.pending e = m.m_pending
+          && Epc.modified e = m.m_modified
+          && Epc.blocked e = m.m_blocked
+          && Epc.perms e = m.m_perms
+          && Epc.perm_bits e = Types.perms_bits m.m_perms
+          && Epc.ptype e = m.m_ptype
+          && Epc.enclave_id e = m.m_id
+          && Epc.vpage e = m.m_vpage
+          && Epc.flags e = model_flags m;
+        if m.m_valid && m.m_id >= 1 && m.m_id <= 3 then
+          fine := !fine && Epc.frame_of_packed epc ~enclave_id:m.m_id ~vpage:m.m_vpage = f)
+      model;
+    for id = 1 to 3 do
+      let expect = ref [] in
+      Array.iteri (fun f m -> if m.m_valid && m.m_id = id then expect := f :: !expect) model;
+      fine := !fine && Epc.frames_of_enclave epc ~enclave_id:id = List.rev !expect
+    done;
+    !fine
+  in
+  List.for_all
+    (fun op ->
+      apply op;
+      !ok && agrees ())
+    ops
+
+(* Three words a frame: the packed entry, the payload slot and the
+   free-stack slot (12.03 with a ten-word entry record per frame). *)
+let test_epc_words_per_frame () =
+  let frames = 2_048 in
+  let per_frame =
+    float_of_int (Obj.reachable_words (Obj.repr (Epc.create ~frames)))
+    /. float_of_int frames
+  in
+  checkb (Printf.sprintf "%.2f words per frame <= 3.1" per_frame) true
+    (per_frame <= 3.1)
+
+(* A page table is a Flat window, so vpages mapped in descending order
+   grow it toward the key: 512 pages take 1,024 slots either way (the
+   page table's own window grew only upward and reached 16,384). *)
+let test_pt_descending_map_stays_tight () =
+  let pt = Page_table.create () in
+  for i = 511 downto 0 do
+    Page_table.map pt ~vpage:(epc_base + i) ~frame:i ~perms:Types.perms_rw ()
+  done;
+  let slots = Array.length (Flat.export_state pt).Flat.raw_vals in
+  checkb (Printf.sprintf "%d slots <= 1152" slots) true (slots <= 1_152);
+  checki "mapped" 512 (Page_table.count_mapped pt);
+  checki "lowest page" epc_base (List.hd (Page_table.mapped_pages pt))
 
 (* --- QCheck registration -------------------------------------------- *)
 
@@ -432,6 +630,9 @@ let qcheck_cases =
       QCheck2.Test.make
         ~name:"epcm index isolates enclaves across bind/release" ~count:300
         (op_list ~ops:8 ~arg_hi:(epc_vpages - 1)) epc_property;
+      QCheck2.Test.make
+        ~name:"packed epcm entries agree with the record model" ~count:300
+        (op_list ~ops:10 ~arg_hi:0xFFFF) epcm_property;
     ]
 
 let suite =
@@ -444,3 +645,8 @@ let suite =
     ("flat map negative values", `Quick, test_flat_negative_value_rejected);
   ]
   @ qcheck_cases
+  @ [
+      ("epc words per frame", `Quick, test_epc_words_per_frame);
+      ("page table descending map stays tight", `Quick,
+       test_pt_descending_map_stays_tight);
+    ]

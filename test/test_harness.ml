@@ -275,9 +275,10 @@ let tenant_swap sys = Sim_os.Kernel.swap (Harness.System.os sys) (Harness.System
 
 (* Heap words reachable from the tenant.  Measured on this geometry:
    106,711 words with hashed per-page tables pre-sized to 4,096 slots,
-   56,514 words with window tables and 49,346 with sealed pages as flat
-   rows.  The bound sits between the last two. *)
-let footprint_bound = 53_000
+   56,514 words with window tables, 49,346 with sealed pages as flat
+   rows and 46,196 with one packed EPCM int per frame.  The bound sits
+   between the last two. *)
+let footprint_bound = 48_000
 
 let test_tenant_footprint () =
   let words = Obj.reachable_words (Obj.repr (fleet_tenant ())) in

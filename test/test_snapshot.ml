@@ -117,8 +117,8 @@ let tlb_property (ops1, ops2) =
 
 let pt_roundtrip t =
   let b = Buffer.create 256 in
-  Codec.write_page_table b t;
-  Codec.read_page_table (Codec.R.of_string (Buffer.contents b))
+  Codec.write_flat b t;
+  Codec.read_flat (Codec.R.of_string (Buffer.contents b))
 
 let pt_domain = 64
 
@@ -141,7 +141,7 @@ let pt_property (ops1, ops2) =
   in
   List.iter (apply pt) ops1;
   let copy = pt_roundtrip pt in
-  Page_table.export_state copy = Page_table.export_state pt
+  Flat.export_state copy = Flat.export_state pt
   && List.for_all
        (fun op ->
          apply copy op;

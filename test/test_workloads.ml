@@ -133,6 +133,135 @@ let test_uthash_item_pages_cover_probes () =
       (List.for_all (fun p -> List.mem p all) (Workloads.Uthash.probe_pages t ~key))
   done
 
+(* A warm lookup allocates nothing: the chain walk is a top-level
+   recursion, not a closure over the table and the key. *)
+let test_uthash_find_allocates_nothing () =
+  let t =
+    Workloads.Uthash.create ~vm:Workloads.Vm.null ~alloc:(bump_alloc ())
+      ~rng:(Metrics.Rng.create ~seed:5L) ~n_items:512 ~item_bytes:256
+      ~target_chain:10
+  in
+  ignore (Workloads.Uthash.find t ~key:7);
+  if Helpers.native then
+    Alcotest.(check (float 0.)) "words allocated by 600 lookups" 0.
+      (Helpers.words_allocated (fun () ->
+           for key = 0 to 599 do
+             ignore (Workloads.Uthash.find t ~key)
+           done))
+
+(* Two words an item, its address and its chain successor, plus the
+   bucket heads: 5.11 words an item with a record per item.  The
+   geometry is the fleet's [ht] tenant's (320 heap pages, 12 keys a
+   page, chains of 10). *)
+let test_uthash_words_per_item () =
+  let n_items = 3_840 in
+  let t =
+    Workloads.Uthash.create ~vm:Workloads.Vm.null ~alloc:(bump_alloc ())
+      ~rng:(Metrics.Rng.create ~seed:5L) ~n_items ~item_bytes:256 ~target_chain:10
+  in
+  let per_item =
+    float_of_int (Obj.reachable_words (Obj.repr t)) /. float_of_int n_items
+  in
+  checkb (Printf.sprintf "%.2f words per item <= 2.2" per_item) true
+    (per_item <= 2.2)
+
+let uthash_with ?(n_items = 8) ?(item_bytes = 64) ?(target_chain = 2) () =
+  Workloads.Uthash.create ~vm:Workloads.Vm.null ~alloc:(bump_alloc ())
+    ~rng:(Metrics.Rng.create ~seed:1L) ~n_items ~item_bytes ~target_chain
+
+let test_uthash_rejects_n_items () =
+  Helpers.check_invalid_arg ~naming:"n_items" (fun () -> uthash_with ~n_items:0 ())
+
+let test_uthash_rejects_item_bytes () =
+  Helpers.check_invalid_arg ~naming:"item_bytes" (fun () ->
+      uthash_with ~item_bytes:(-64) ())
+
+let test_uthash_rejects_target_chain () =
+  Helpers.check_invalid_arg ~naming:"target_chain" (fun () ->
+      uthash_with ~target_chain:0 ())
+
+(* Everything a table does, hashed: the VM traffic it emits (events,
+   compute cycles and progress, in order) and every value it returns,
+   for two table geometries and spellcheck's 64-byte entries.  The
+   constant was computed on the record-per-item layout; a change to the
+   table's host representation must not move it. *)
+let uthash_digest () =
+  let h = ref Trace.Fnv.empty in
+  let feed s = h := Trace.Fnv.feed_string !h s in
+  let int i = feed (string_of_int i ^ ";") in
+  let ints l = List.iter int l; feed "|" in
+  let bool b = feed (if b then "T" else "F") in
+  let traced () =
+    let vm, rec_ = Workloads.Vm.recording () in
+    let seen = ref 0 in
+    let flush () =
+      let evs = Workloads.Vm.events rec_ in
+      List.iteri
+        (fun i e ->
+          if i >= !seen then
+            match e with
+            | Workloads.Vm.Read a -> feed "r"; int a
+            | Workloads.Vm.Write a -> feed "w"; int a
+            | Workloads.Vm.Exec a -> feed "x"; int a)
+        evs;
+      seen := List.length evs;
+      int (Workloads.Vm.computed_cycles rec_);
+      int (Workloads.Vm.progress_events rec_)
+    in
+    (vm, flush)
+  in
+  let lookups n =
+    [ 0; 1; n / 3; n / 2; n - 1; n; n + 7; 2 * n; -1; -12_345; max_int ]
+    @ List.init 24 (fun i -> i * 7919 mod n)
+  in
+  let table ~n_items ~item_bytes ~target_chain ~seed =
+    let vm, flush = traced () in
+    let rng = Metrics.Rng.create ~seed in
+    let t =
+      Workloads.Uthash.create ~vm ~alloc:(bump_alloc ()) ~rng ~n_items ~item_bytes
+        ~target_chain
+    in
+    flush ();
+    let state () =
+      int (Workloads.Uthash.n_items t);
+      int (Workloads.Uthash.n_buckets t);
+      feed (Printf.sprintf "%h" (Workloads.Uthash.mean_chain_length t));
+      ints (Workloads.Uthash.item_pages t);
+      ints (Workloads.Uthash.head_pages t);
+      List.iter
+        (fun key ->
+          if key >= 0 && key < n_items then int (Workloads.Uthash.item_page t ~key);
+          ints (Workloads.Uthash.probe_pages t ~key);
+          bool (Workloads.Uthash.find t ~key);
+          flush ())
+        (lookups n_items)
+    in
+    state ();
+    Workloads.Uthash.rehash t;
+    flush ();
+    state ()
+  in
+  table ~n_items:500 ~item_bytes:256 ~target_chain:5 ~seed:42L;
+  table ~n_items:3_840 ~item_bytes:100 ~target_chain:10 ~seed:7L;
+  let vm, flush = traced () in
+  let d =
+    Workloads.Spellcheck.load_dictionary ~vm ~alloc:(bump_alloc ())
+      ~rng:(Metrics.Rng.create ~seed:3L) ~name:"en" ~n_words:1_536 ()
+  in
+  flush ();
+  ints (Workloads.Spellcheck.pages d);
+  List.iter
+    (fun word ->
+      ints (Workloads.Spellcheck.signature d ~word);
+      bool (Workloads.Spellcheck.check d ~word);
+      flush ())
+    (lookups 1_536);
+  Trace.Fnv.to_hex !h
+
+let test_uthash_traffic_digest () =
+  Alcotest.(check string) "uthash traffic digest" "fnv64:603dd7b105a25b69"
+    (uthash_digest ())
+
 (* --- YCSB --------------------------------------------------------------- *)
 
 let test_ycsb_workload_c_all_reads () =
@@ -180,6 +309,22 @@ let test_kvstore_get_set () =
   checkb "get out of range" false (Workloads.Kvstore.get kv ~key:1_000);
   Workloads.Kvstore.set kv ~key:5;
   checkb "progress per op" true (Workloads.Vm.progress_events rec_ >= 2)
+
+let kvstore_with ?(n_entries = 8) ?(value_bytes = 64) ?(slab_pages = 1) () =
+  Workloads.Kvstore.create ~vm:Workloads.Vm.null ~alloc:(bump_alloc ())
+    ~rng:(Metrics.Rng.create ~seed:1L) ~n_entries ~value_bytes ~slab_pages ()
+
+let test_kvstore_rejects_n_entries () =
+  Helpers.check_invalid_arg ~naming:"n_entries" (fun () ->
+      kvstore_with ~n_entries:0 ())
+
+let test_kvstore_rejects_value_bytes () =
+  Helpers.check_invalid_arg ~naming:"value_bytes" (fun () ->
+      kvstore_with ~value_bytes:0 ())
+
+let test_kvstore_rejects_slab_pages () =
+  Helpers.check_invalid_arg ~naming:"slab_pages" (fun () ->
+      kvstore_with ~slab_pages:(-1) ())
 
 let test_kvstore_value_read_lines () =
   let vm, rec_ = Workloads.Vm.recording () in
@@ -265,6 +410,12 @@ let test_spellcheck_check () =
   checkb "correct word" true (Workloads.Spellcheck.check d ~word:42);
   checkb "misspelled word" false (Workloads.Spellcheck.check d ~word:5_000);
   checki "word count" 200 (Workloads.Spellcheck.n_words d)
+
+let test_spellcheck_rejects_n_words () =
+  Helpers.check_invalid_arg ~naming:"n_words" (fun () ->
+      Workloads.Spellcheck.load_dictionary ~vm:Workloads.Vm.null
+        ~alloc:(bump_alloc ()) ~rng:(Metrics.Rng.create ~seed:1L) ~name:"en"
+        ~n_words:0 ())
 
 let test_spellcheck_signatures_discriminate () =
   let vm, _ = Workloads.Vm.recording () in
@@ -457,10 +608,19 @@ let suite =
     ("uthash rehash shortens chains", `Quick, test_uthash_rehash_shortens_chains);
     ("uthash probe pages subset", `Quick, test_uthash_probe_pages_match_traffic);
     ("uthash item pages cover probes", `Quick, test_uthash_item_pages_cover_probes);
+    ("uthash traffic digest", `Quick, test_uthash_traffic_digest);
+    ("uthash find allocates nothing", `Quick, test_uthash_find_allocates_nothing);
+    ("uthash words per item", `Quick, test_uthash_words_per_item);
+    ("uthash create rejects n_items", `Quick, test_uthash_rejects_n_items);
+    ("uthash create rejects item_bytes", `Quick, test_uthash_rejects_item_bytes);
+    ("uthash create rejects target_chain", `Quick, test_uthash_rejects_target_chain);
     ("ycsb workload C all reads", `Quick, test_ycsb_workload_c_all_reads);
     ("ycsb workload A mix", `Quick, test_ycsb_workload_a_mix);
     ("ycsb fractions validated", `Quick, test_ycsb_fractions_validated);
     ("kvstore get/set", `Quick, test_kvstore_get_set);
+    ("kvstore create rejects n_entries", `Quick, test_kvstore_rejects_n_entries);
+    ("kvstore create rejects value_bytes", `Quick, test_kvstore_rejects_value_bytes);
+    ("kvstore create rejects slab_pages", `Quick, test_kvstore_rejects_slab_pages);
     ("kvstore value read lines", `Quick, test_kvstore_value_read_lines);
     ("kvstore data region covers items", `Quick, test_kvstore_data_region_covers_items);
     ("jpeg trace matches image", `Quick, test_jpeg_trace_matches_image);
@@ -468,6 +628,7 @@ let suite =
     ("jpeg temp buffer small", `Quick, test_jpeg_temp_buffer_small);
     ("jpeg output bytes", `Quick, test_jpeg_output_bytes);
     ("spellcheck check", `Quick, test_spellcheck_check);
+    ("spellcheck load rejects n_words", `Quick, test_spellcheck_rejects_n_words);
     ("spellcheck signatures discriminate", `Quick,
      test_spellcheck_signatures_discriminate);
     ("spellcheck text zipf", `Quick, test_spellcheck_text_zipf);
