@@ -91,3 +91,4 @@ let make ~ciphertext ~vaddr ~version ~mac =
 
 let to_bytes = Bytes.copy
 let of_bytes row = row
+let raw row = row

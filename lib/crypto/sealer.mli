@@ -75,3 +75,8 @@ val of_bytes : bytes -> sealed
     untrusted side wrote, which {!unseal} must then catch (a row too
     short to hold its trailer fails with [Mac_mismatch]).  The caller
     must not mutate the bytes afterwards. *)
+
+val raw : sealed -> bytes
+(** The row's own bytes, not a copy: {!of_bytes}'s inverse, for a
+    store that keeps rows among other byte strings.  The caller must
+    not write them. *)

@@ -124,7 +124,7 @@ let create_proc t ~size_pages ~self_paging ~epc_limit =
     {
       enclave;
       pt = Page_table.create ();
-      proc_swap = Swap_store.create ();
+      proc_swap = Swap_store.create t.machine.sealer;
       enclave_managed = Flat.create ();
       intended_perms = Flat.create ();
       orq_vp = Array.make 64 0;
@@ -225,17 +225,19 @@ let add_initial_page t proc ~vpage ~data ~perms =
   end
   else begin
     (* Image exceeds the process's EPC allowance: place the page directly
-       in the backing store (added-and-evicted during initialization). *)
+       in the backing store (added-and-evicted during initialization),
+       its row sealed when something first reads it. *)
     (if Machine.free_va_slots t.machine < 1 then
        match Instructions.epa t.machine with
        | Ok _ -> ()
        | Error `Epc_full ->
          Types.sgx_errorf "cannot provision a version-array page: EPC full");
-    let row, pcmd =
-      Instructions.seal_for_swap t.machine proc.enclave ~vpage ~data ~perms
+    let version, pcmd =
+      Instructions.reserve_swap_slot t.machine proc.enclave ~vpage ~perms
         ~ptype:Types.Pt_reg
     in
-    Swap_store.put proc.proc_swap vpage row ~pcmd
+    Swap_store.put_deferred proc.proc_swap vpage ~version
+      (Page_data.to_bytes data) ~pcmd
   end
 
 let finalize t proc = Instructions.einit t.machine proc.enclave
@@ -591,10 +593,9 @@ let blob_store t proc vp sealed =
 let blob_load t proc vp =
   charge t (cmodel t).dram_access;
   let swap = proc.proc_swap in
-  let slot = Swap_store.slot swap vp in
-  if slot < 0 || Swap_store.pcmd_at swap slot <> Swap_store.runtime_sealed then None
+  if not (Swap_store.mem_runtime_sealed swap vp) then None
   else begin
-    let row = Swap_store.row_at swap slot in
+    let row = Swap_store.row_at swap (Swap_store.slot swap vp) in
     Swap_store.delete swap vp;
     Some row
   end
@@ -644,15 +645,15 @@ let release_proc t proc =
     frames;
   (* The VA slots of the pages still swapped out go back to the free
      pool: nothing will ELDU them now.  A slot is cleared only while it
-     holds its row's version, so a stale or forged entry the OS planted
-     cannot free a slot another page has taken since. *)
-  Swap_store.iter
-    (fun row pcmd ->
+     holds its entry's version, so a stale or forged entry the OS
+     planted cannot free a slot another page has taken since.  Reading
+     versions seals no deferred entry. *)
+  Swap_store.iter_versions
+    (fun version pcmd ->
       if pcmd <> Swap_store.runtime_sealed then begin
         let slot = Instructions.pcmd_va_slot pcmd in
         let v = Machine.read_va_slot t.machine slot in
-        if v >= 0 && Int64.of_int v = Sim_crypto.Sealer.version row then
-          Machine.clear_va_slot t.machine slot
+        if v >= 0 && v = version then Machine.clear_va_slot t.machine slot
       end)
     proc.proc_swap;
   (match proc.enclave.Enclave.state with

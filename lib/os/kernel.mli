@@ -62,7 +62,9 @@ val add_initial_page :
     has EPC headroom the page is EADDed and mapped; once the image
     exceeds the limit, remaining pages are placed directly in the backing
     store (as if added and evicted during initialization, which the
-    paper's methodology excludes from measurement). *)
+    paper's methodology excludes from measurement): each takes its
+    version and VA slot now, and the store seals its row when
+    something first reads it ({!Swap_store.put_deferred}). *)
 
 val finalize : t -> proc -> unit
 (** EINIT: no further initial pages may be added. *)
@@ -160,7 +162,9 @@ val release_proc : t -> proc -> unit
     release them itself — mark the enclave [Dead] if it was not
     already, and unregister the process from the kernel.  The freed
     frames return to the machine-wide pool, so a replacement enclave
-    (an attested restart) can be created in its place. *)
+    (an attested restart) can be created in its place, and so do the
+    VA slots of the pages still swapped out; no deferred boot page is
+    sealed for it. *)
 
 val reclaim_for_shrink : t -> proc -> target:int -> unit
 (** Evict the process's OS-managed pages until its residency is at most

@@ -49,7 +49,9 @@ let blank = Types.perms_bits Types.perms_ro lsl perms_shift
    share a window, not even an empty one, so a window restored from a
    snapshot is as private as the one captured.  The free pool is an
    int-array stack that pops frames 0, 1, 2, ... initially and is LIFO
-   on release, exactly like the old cons-list free list.
+   on release, exactly like the old cons-list free list.  A bitset
+   marks the frames taken off it, so a frame released twice is caught
+   instead of landing on the stack twice.
 
    Free frames all hold the one shared [zero] payload, so a release
    allocates nothing.  The instructions that bind a frame either install
@@ -62,6 +64,7 @@ type t = {
   zero : Page_data.t;
   free : int array;           (* free frames; top of stack at free_count-1 *)
   mutable free_count : int;
+  in_use : Bytes.t;           (* bit per frame: taken by [alloc] *)
   mutable reverse : Flat.t array;  (* enclave id -> vpage -> frame *)
 }
 
@@ -77,17 +80,25 @@ let create ~frames =
     (* Arranged so the first pops yield frames 0, 1, 2, ... *)
     free = Array.init frames (fun i -> frames - 1 - i);
     free_count = frames;
+    in_use = Bytes.make ((frames + 7) / 8) '\000';
     reverse = windows 8;
   }
 
 let total_frames t = Array.length t.epcm
 let free_frames t = t.free_count
 
+let in_use t f = Char.code (Bytes.get t.in_use (f lsr 3)) land (1 lsl (f land 7)) <> 0
+
+let mark t f on =
+  let b = Char.code (Bytes.get t.in_use (f lsr 3)) and bit = 1 lsl (f land 7) in
+  Bytes.set t.in_use (f lsr 3) (Char.chr (if on then b lor bit else b land lnot bit))
+
 let alloc t =
   if t.free_count = 0 then -1
   else begin
     let f = t.free.(t.free_count - 1) in
     t.free_count <- t.free_count - 1;
+    mark t f true;
     f
   end
 
@@ -113,6 +124,8 @@ let set_ptype t frame pt =
     t.epcm.(frame) land lnot (3 lsl ptype_shift) lor (ptype_code pt lsl ptype_shift)
 
 let release t frame =
+  if not (in_use t frame) then Types.sgx_errorf "EPC: frame %d is already free" frame;
+  mark t frame false;
   let e = t.epcm.(frame) in
   let enclave_id = enclave_id e in
   (* VA pages are bound with [track_reverse:false] and a negative

@@ -21,7 +21,10 @@ val alloc : t -> Types.frame
 
 val release : t -> Types.frame -> unit
 (** Invalidate the EPCM entry and return the frame to the free pool
-    (its payload reverts to the shared zero page). *)
+    (its payload reverts to the shared zero page).  Any frame {!alloc}
+    handed out may be released, bound or not.  Raises
+    {!Types.Sgx_error}, leaving the pool as it was, on a frame that is
+    already free. *)
 
 (** {1 EPCM entries}
 

@@ -4,8 +4,9 @@
    vals); a slot holds the key's value, or [absent] (-1) when unbound,
    so values must be non-negative.  Every table keyed by an enclave's
    vpages spans one contiguous region, so the window stays tight and a
-   lookup is one bounds check and one load.  The window grows (with
-   slack, at least doubling) toward a key that lands outside it. *)
+   lookup is one bounds check and one load.  The window grows toward a
+   key that lands outside it, by a quarter or to the key plus slack,
+   whichever is larger. *)
 
 type t = {
   mutable base : int;       (* key of slot 0 *)
@@ -20,9 +21,12 @@ let create () = { base = 0; vals = [||]; live = 0 }
 
 let length t = t.live
 
-(* Grow the window to cover [k], at least doubling it.  The new room
-   goes on the side [k] lies on, so keys arriving in descending order
-   grow it as cheaply as ascending ones. *)
+(* Grow the window to cover [k] with [slack] to spare, and by at least
+   a quarter: a window filled in order is then at most a fifth empty
+   past its slack, where doubling left up to half, and a run of keys
+   still takes geometrically few grows.  The new room goes on the side
+   [k] lies on, so keys arriving in descending order grow it as
+   cheaply as ascending ones. *)
 let grow t k =
   let len = Array.length t.vals in
   if len = 0 then begin
@@ -31,11 +35,12 @@ let grow t k =
   end
   else begin
     let top = t.base + len in
+    let least = len + (len / 4) in
     let base, n =
       if k < t.base then
-        let n = max (2 * len) (top - k + slack) in
+        let n = max least (top - k + slack) in
         (max 0 (top - n), n)
-      else (t.base, max (2 * len) (k + 1 + slack - t.base))
+      else (t.base, max least (k + 1 + slack - t.base))
     in
     let vals = Array.make n absent in
     Array.blit t.vals 0 vals (t.base - base) len;

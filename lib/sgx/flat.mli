@@ -35,8 +35,9 @@ val find_default : t -> int -> int -> int
 (** [find_default t k d] is the value bound to [k], or [d]. *)
 
 val set : t -> int -> int -> unit
-(** Bind (or rebind) a key, widening the window to cover it.  Raises
-    [Invalid_argument] on a negative key or a negative value. *)
+(** Bind (or rebind) a key, widening the window to cover it: by a
+    quarter, or to the key plus 64 slots of slack if that is more.
+    Raises [Invalid_argument] on a negative key or a negative value. *)
 
 val remove : t -> int -> unit
 (** Unbind a key; absent keys are ignored. *)

@@ -218,6 +218,11 @@ let etrack m (enclave : Enclave.t) =
   Machine.charge m (cm.etrack + cm.tlb_shootdown);
   incr (Machine.hot m).Machine.c_etrack
 
+let seal_page sealer ~vpage ~version plaintext =
+  Sim_crypto.Sealer.seal sealer
+    ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
+    ~version:(Int64.of_int version) plaintext
+
 let ewb m (enclave : Enclave.t) ~vpage =
   let cm = Machine.model m in
   let frame = require_frame m enclave ~vpage ~who:"EWB" in
@@ -232,10 +237,7 @@ let ewb m (enclave : Enclave.t) ~vpage =
   let slot = Machine.take_va_slot m ~version in
   if slot < 0 then Types.sgx_errorf "EWB: no free version-array slot (run EPA)";
   let row =
-    Sim_crypto.Sealer.seal m.sealer
-      ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
-      ~version:(Int64.of_int version)
-      (Page_data.to_bytes (Epc.data m.epc frame))
+    seal_page m.sealer ~vpage ~version (Page_data.to_bytes (Epc.data m.epc frame))
   in
   let pcmd =
     pcmd ~enclave_id:enclave.id ~perms:(Epc.perms entry) ~ptype:(Epc.ptype entry)
@@ -275,20 +277,15 @@ let eldu m (enclave : Enclave.t) ~vpage row ~pcmd =
         Ok frame
       end
 
-let seal_for_swap m (enclave : Enclave.t) ~vpage ~data ~perms ~ptype =
+let reserve_swap_slot m (enclave : Enclave.t) ~vpage ~perms ~ptype =
   if not (Enclave.contains_vpage enclave vpage) then
-    Types.sgx_errorf "seal_for_swap: page 0x%x outside enclave %d" vpage enclave.id;
+    Types.sgx_errorf "reserve_swap_slot: page 0x%x outside enclave %d" vpage
+      enclave.id;
   let version = Machine.fresh_va_version m in
   let slot = Machine.take_va_slot m ~version in
   if slot < 0 then
-    Types.sgx_errorf "seal_for_swap: no free version-array slot (run EPA)";
-  let row =
-    Sim_crypto.Sealer.seal m.sealer
-      ~vaddr:(Int64.of_int (Types.vaddr_of_vpage vpage))
-      ~version:(Int64.of_int version)
-      (Page_data.to_bytes data)
-  in
-  (row, pcmd ~enclave_id:enclave.id ~perms ~ptype ~va_slot:slot)
+    Types.sgx_errorf "reserve_swap_slot: no free version-array slot (run EPA)";
+  (version, pcmd ~enclave_id:enclave.id ~perms ~ptype ~va_slot:slot)
 
 (* --- SGXv2 dynamic memory ------------------------------------------- *)
 

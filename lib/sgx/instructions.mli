@@ -107,15 +107,26 @@ val eldu :
     and the version held in the PCMD's VA slot.  Raises
     {!Types.Sgx_error} if the PCMD names another enclave. *)
 
-val seal_for_swap :
-  Machine.t -> Enclave.t -> vpage:Types.vpage -> data:Page_data.t ->
-  perms:Types.perms -> ptype:Types.page_type -> Sim_crypto.Sealer.sealed * int
-(** Initialization-time helper: produce a swapped page's row and PCMD
-    as if the page had been EADDed and immediately EWBed, without ever
-    occupying an EPC frame and without charging cycles.  Used to
-    pre-populate enclaves whose initial image exceeds the EPC, which
+val seal_page :
+  Sim_crypto.Sealer.t -> vpage:Types.vpage -> version:int -> bytes ->
+  Sim_crypto.Sealer.sealed
+(** The row EWB writes for a page: its plaintext sealed under [vpage]'s
+    address and the anti-replay version.  Given the machine's sealer,
+    the row ELDU accepts while the page's VA slot holds [version]. *)
+
+val reserve_swap_slot :
+  Machine.t -> Enclave.t -> vpage:Types.vpage -> perms:Types.perms ->
+  ptype:Types.page_type -> int * int
+(** Initialization-time helper: place a page in the backing store as if
+    it had been EADDed and immediately EWBed, without ever occupying an
+    EPC frame and without charging cycles.  Takes a fresh version and a
+    VA slot holding it, and returns the version and the page's PCMD;
+    the row is {!seal_page} of the page at that version, which the OS
+    may seal later (its swap store seals it on first read).  Used
+    to pre-populate enclaves whose initial image exceeds the EPC, which
     the paper's methodology excludes from measurement ("results do not
-    include initialization"). *)
+    include initialization").  Raises {!Types.Sgx_error} if [vpage]
+    lies outside the enclave or no VA slot is free. *)
 
 (** {1 SGXv2 dynamic memory management} *)
 

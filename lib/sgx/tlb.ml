@@ -43,7 +43,7 @@ let b_dirty_filled = 8
 let rec pow2 n i = if i >= n then i else pow2 n (i * 2)
 
 let create ?(capacity = 1536) () =
-  assert (capacity > 0);
+  if capacity <= 0 then invalid_arg "Tlb.create: capacity must be positive";
   let size = pow2 (4 * capacity) 16 in
   {
     cap = capacity;

@@ -19,6 +19,8 @@
 type t
 
 val create : ?capacity:int -> unit -> t
+(** An empty TLB of [capacity] entries (default 1536).  Raises
+    [Invalid_argument] naming [capacity] unless it is positive. *)
 
 val hit : t -> Types.vpage -> Types.access_kind -> bool
 (** [hit t vp kind] is true when the translation is cached with

@@ -18,7 +18,8 @@ let signature_of_glyph ~code_pages glyph =
   Array.init len (fun _ -> Metrics.Rng.int mix code_pages)
 
 let create ~vm ~alloc ~glyphs ~code_pages =
-  assert (glyphs > 0 && code_pages > 1);
+  if glyphs <= 0 then invalid_arg "Fontrender.create: glyphs must be positive";
+  if code_pages < 2 then invalid_arg "Fontrender.create: code_pages must be at least 2";
   let code_base = alloc ~bytes:(code_pages * page) / page in
   let bitmap_bytes = 4 * page in
   {

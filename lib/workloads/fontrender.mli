@@ -13,7 +13,8 @@ type t
 val create :
   vm:Vm.t -> alloc:(bytes:int -> int) -> glyphs:int -> code_pages:int -> t
 (** A font of [glyphs] glyphs over a rasterizer of [code_pages] code
-    pages. *)
+    pages.  Raises [Invalid_argument] naming [glyphs] unless it is
+    positive, or [code_pages] unless it is at least 2. *)
 
 val render_glyph : t -> int -> unit
 val render : t -> int array -> unit

@@ -24,7 +24,8 @@ let page = Sgx.Types.page_bytes
 let alloc_code_page alloc = alloc ~bytes:page / page
 
 let create ~vm ~alloc ~blocks_w ~blocks_h =
-  assert (blocks_w > 0 && blocks_h > 0);
+  if blocks_w <= 0 then invalid_arg "Jpeg.create: blocks_w must be positive";
+  if blocks_h <= 0 then invalid_arg "Jpeg.create: blocks_h must be positive";
   let api_page = alloc_code_page alloc in
   let io_page = alloc_code_page alloc in
   let huffman_page = alloc_code_page alloc in

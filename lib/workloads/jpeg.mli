@@ -25,7 +25,9 @@ type block_kind = Smooth | Detailed
 val create :
   vm:Vm.t -> alloc:(bytes:int -> int) -> blocks_w:int -> blocks_h:int -> t
 (** Allocate the codec's code pages and temporary buffers for a
-    [blocks_w × blocks_h]-block image (pixel size is 8× that). *)
+    [blocks_w × blocks_h]-block image (pixel size is 8× that).  Raises
+    [Invalid_argument] naming [blocks_w] or [blocks_h] unless it is
+    positive. *)
 
 val random_image :
   rng:Metrics.Rng.t -> blocks_w:int -> blocks_h:int -> ?detail_fraction:float ->

@@ -75,7 +75,7 @@ let one_access spec ~vm ~rng ~base_page =
   vm.Vm.compute spec.compute_per_access
 
 let run spec ~vm ~rng ?(base_page = 0) ~units () =
-  assert (units > 0);
+  if units <= 0 then invalid_arg "Kernels.run: units must be positive";
   for _ = 1 to units do
     for _ = 1 to spec.accesses_per_unit do
       one_access spec ~vm ~rng ~base_page

@@ -34,7 +34,8 @@ val run :
   spec -> vm:Vm.t -> rng:Metrics.Rng.t -> ?base_page:int -> units:int ->
   unit -> unit
 (** Execute [units] progress units of the kernel, with its working set
-    at [base_page] (default 0). *)
+    at [base_page] (default 0).  Raises [Invalid_argument] naming
+    [units] unless it is positive. *)
 
 val touch_all : spec -> vm:Vm.t -> ?base_page:int -> unit -> unit
 (** Touch every working-set page once (warmup). *)

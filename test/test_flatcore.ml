@@ -582,7 +582,8 @@ let epcm_property ops =
     ops
 
 (* Three words a frame: the packed entry, the payload slot and the
-   free-stack slot (12.03 with a ten-word entry record per frame). *)
+   free-stack slot, and a bit of the in-use set (12.03 with a ten-word
+   entry record per frame). *)
 let test_epc_words_per_frame () =
   let frames = 2_048 in
   let per_frame =
@@ -593,8 +594,9 @@ let test_epc_words_per_frame () =
     (per_frame <= 3.1)
 
 (* A page table is a Flat window, so vpages mapped in descending order
-   grow it toward the key: 512 pages take 1,024 slots either way (the
-   page table's own window grew only upward and reached 16,384). *)
+   grow it toward the key: 512 pages take 628 slots either way (1,024
+   when every grow doubled; the page table's own window grew only
+   upward and reached 16,384). *)
 let test_pt_descending_map_stays_tight () =
   let pt = Page_table.create () in
   for i = 511 downto 0 do
@@ -604,6 +606,18 @@ let test_pt_descending_map_stays_tight () =
   checkb (Printf.sprintf "%d slots <= 1152" slots) true (slots <= 1_152);
   checki "mapped" 512 (Page_table.count_mapped pt);
   checki "lowest page" epc_base (List.hd (Page_table.mapped_pages pt))
+
+(* A window filled in ascending order grows by a quarter, not by
+   doubling: 512 keys from 65,536 take 628 slots (1,024 when every grow
+   doubled). *)
+let test_flat_ascending_fill_stays_tight () =
+  let flat = Flat.create () in
+  for i = 0 to 511 do
+    Flat.set flat (65_536 + i) i
+  done;
+  let slots = Array.length (Flat.export_state flat).Flat.raw_vals in
+  checkb (Printf.sprintf "%d slots <= 640" slots) true (slots <= 640);
+  checki "bound" 512 (Flat.length flat)
 
 (* --- QCheck registration -------------------------------------------- *)
 
@@ -649,4 +663,5 @@ let suite =
       ("epc words per frame", `Quick, test_epc_words_per_frame);
       ("page table descending map stays tight", `Quick,
        test_pt_descending_map_stays_tight);
+      ("flat ascending fill stays tight", `Quick, test_flat_ascending_fill_stays_tight);
     ]

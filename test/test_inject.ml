@@ -136,8 +136,8 @@ let row_bit row (field, off) =
 
 let gen_row_bit = QCheck2.Gen.(pair (int_bound 3) nat)
 
-(* A V1 row, which EWB sealed (here: placed by [seal_for_swap] at boot),
-   fails ELDU.  A failed ELDU consumes nothing, so one system serves
+(* A V1 row, which EWB sealed (here: a boot page the store seals on
+   this first read), fails ELDU.  A failed ELDU consumes nothing, so one system serves
    every case. *)
 let v1_system = lazy (system_with_data ())
 

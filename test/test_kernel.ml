@@ -277,6 +277,7 @@ let test_attacker_evict_breaks_contract () =
 
 type swap_op =
   | Put of int * int  (* page, blob tag *)
+  | Defer of int * int  (* page, version and PCMD *)
   | Replace of int * int
   | Take of int
   | Peek of int
@@ -297,37 +298,92 @@ let gen_swap_op =
     let page = int_bound 95 in
     frequency
       [ (4, map2 (fun p t -> Put (p, t)) page nat);
+        (2, map2 (fun p t -> Defer (p, t)) page nat);
         (1, map2 (fun p t -> Replace (p, t)) page nat);
         (3, map (fun p -> Take p) page);
         (1, map (fun p -> Peek p) page);
         (1, map (fun p -> Mem p) page);
         (1, map (fun p -> Delete p) page) ])
 
+(* A deferred entry's plaintext: zero for even tags, else stamped with
+   the tag, written into one buffer the caller reuses. *)
+let defer_buffer = Bytes.create 64
+
+let defer_plaintext t =
+  Bytes.fill defer_buffer 0 64 '\000';
+  if t land 1 = 1 then Bytes.set_int64_le defer_buffer 0 (Int64.of_int t);
+  defer_buffer
+
+type swap_model = {
+  m_tag : int;
+  m_plain : bytes option;  (* a deferred entry's plaintext *)
+  mutable m_unread : bool;  (* deferred and not read since *)
+}
+
 (* Every operation's result, [size] and a probe of every page agree with
    a [Hashtbl] holding the same bindings; enough pages to grow the slot
-   arrays past their initial 64. *)
+   arrays past their initial 64.  The probe reads a deferred entry no
+   one has read yet with [mem] only, so it stays deferred until a
+   [Take] or [Peek] seals it; a sealed deferred row must unseal to the
+   plaintext put.  At the end every entry is read through [slot]. *)
 let swap_store_agrees ops =
-  let st = Sim_os.Swap_store.create () and model = Hashtbl.create 16 in
-  let tag_opt = Option.map swap_tag in
+  let sealer = Sim_crypto.Sealer.create ~master_key:"swap-model" in
+  let st = Sim_os.Swap_store.create sealer and model = Hashtbl.create 16 in
+  let entry_ok p got =
+    match (got, Hashtbl.find_opt model p) with
+    | None, None -> true
+    | Some (row, pcmd), Some m ->
+      swap_tag (row, pcmd) = m.m_tag
+      && (match m.m_plain with
+          | None -> true
+          | Some plain ->
+            Sim_crypto.Sealer.unseal sealer
+              ~vaddr:(Int64.of_int (Types.vaddr_of_vpage p))
+              ~expected_version:(Int64.of_int m.m_tag) row
+            = Ok plain)
+    | _ -> false
+  in
+  let read p =
+    let got = Sim_os.Swap_store.peek st p in
+    let ok = entry_ok p got in
+    Option.iter (fun m -> m.m_unread <- false) (Hashtbl.find_opt model p);
+    ok
+  in
+  let probe p =
+    let s = Sim_os.Swap_store.slot st p in
+    match Hashtbl.find_opt model p with
+    | None -> s = -1
+    | Some m ->
+      m.m_unread <- false;
+      s >= 0
+      && swap_tag (Sim_os.Swap_store.row_at st s, Sim_os.Swap_store.pcmd_at st s)
+         = m.m_tag
+  in
+  let stored t = { m_tag = t; m_plain = None; m_unread = false } in
   List.for_all
     (fun op ->
       let same =
         match op with
         | Put (p, t) ->
           Sim_os.Swap_store.put st p (swap_row t) ~pcmd:t;
-          Hashtbl.replace model p t;
+          Hashtbl.replace model p (stored t);
+          true
+        | Defer (p, t) ->
+          let plain = Bytes.copy (defer_plaintext t) in
+          Sim_os.Swap_store.put_deferred st p ~version:t defer_buffer ~pcmd:t;
+          Bytes.fill defer_buffer 0 64 '\xff';
+          Hashtbl.replace model p { m_tag = t; m_plain = Some plain; m_unread = true };
           true
         | Replace (p, t) ->
           Sim_os.Swap_store.replace_raw st p (swap_row t) ~pcmd:t;
-          Hashtbl.replace model p t;
+          Hashtbl.replace model p (stored t);
           true
         | Take p ->
-          let expect = Hashtbl.find_opt model p in
+          let ok = read p in
           Hashtbl.remove model p;
-          let got = Sim_os.Swap_store.peek st p in
           Sim_os.Swap_store.delete st p;
-          tag_opt got = expect
-        | Peek p -> tag_opt (Sim_os.Swap_store.peek st p) = Hashtbl.find_opt model p
+          ok
+        | Peek p -> read p
         | Mem p -> Sim_os.Swap_store.mem st p = Hashtbl.mem model p
         | Delete p ->
           Sim_os.Swap_store.delete st p;
@@ -338,15 +394,12 @@ let swap_store_agrees ops =
       && Sim_os.Swap_store.size st = Hashtbl.length model
       && List.for_all
            (fun p ->
-             let s = Sim_os.Swap_store.slot st p in
              match Hashtbl.find_opt model p with
-             | None -> s = -1
-             | Some t ->
-               s >= 0
-               && swap_tag (Sim_os.Swap_store.row_at st s, Sim_os.Swap_store.pcmd_at st s)
-                  = t)
+             | Some m when m.m_unread -> Sim_os.Swap_store.mem st p
+             | _ -> probe p)
            (List.init 96 Fun.id))
     ops
+  && List.for_all probe (List.init 96 Fun.id)
 
 (* --- Teardown ------------------------------------------------------- *)
 
@@ -422,6 +475,116 @@ let test_release_spares_forged_slot () =
   | Ok () -> checkb "victim reloaded" true (Sim_os.Kernel.resident os b victim)
   | Error e -> Alcotest.failf "reload failed: %a" Sim_os.Kernel.pp_fetch_error e
 
+(* --- Deferred boot pages ---------------------------------------------- *)
+
+(* A legacy process of 48 pages with an EPC limit of 16: pages 16-47
+   start in the swap store, deferred. *)
+let boot_deferred ~data =
+  let m = Helpers.machine ~epc_frames:64 () in
+  let os = Sim_os.Kernel.create m in
+  let proc =
+    Sim_os.Kernel.create_proc os ~size_pages:48 ~self_paging:false ~epc_limit:16
+  in
+  for i = 0 to 47 do
+    Sim_os.Kernel.add_initial_page os proc ~vpage:(vp proc i) ~data:(data i)
+      ~perms:Types.perms_rw
+  done;
+  Sim_os.Kernel.finalize os proc;
+  (m, os, proc)
+
+(* Page-in a page and read back its stamp. *)
+let page_in_stamp m os proc i =
+  (match Sim_os.Kernel.page_in_os_managed os proc (vp proc i) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "page-in failed: %a" Sim_os.Kernel.pp_fetch_error e);
+  match Instructions.page_data m (Sim_os.Kernel.enclave proc) ~vpage:(vp proc i) with
+  | Some d -> Page_data.read_int d
+  | None -> Alcotest.failf "page %d not resident" i
+
+(* The first read of a deferred page seals the row the reference sealer
+   makes from the page's vaddr, its VA slot's version and its plaintext
+   (stamped on odd pages, zero on even ones), byte for byte; ELDU then
+   gives the stamp back. *)
+let test_deferred_rows_match_reference () =
+  let stamp i = if i land 1 = 1 then 700 + i else 0 in
+  let m, os, proc =
+    boot_deferred ~data:(fun i ->
+        let d = Page_data.create () in
+        if stamp i <> 0 then Page_data.fill_int d (stamp i);
+        d)
+  in
+  let swap = Sim_os.Kernel.swap os proc in
+  let reference = Sim_crypto.Sealer_ref.create ~master_key:"sgx-epc-paging-key" in
+  checki "stored pages" 32 (Sim_os.Swap_store.size swap);
+  for i = 16 to 47 do
+    match Sim_os.Swap_store.peek swap (vp proc i) with
+    | None -> Alcotest.failf "page %d not stored" i
+    | Some (row, pcmd) ->
+      let plain = Page_data.create () in
+      if stamp i <> 0 then Page_data.fill_int plain (stamp i);
+      let version = Machine.read_va_slot m (Instructions.pcmd_va_slot pcmd) in
+      let expect =
+        Sim_crypto.Sealer_ref.seal reference ~vaddr:(Int64.of_int (va proc i))
+          ~version:(Int64.of_int version) (Page_data.to_bytes plain)
+      in
+      Alcotest.(check bytes)
+        (Printf.sprintf "row of page %d" i)
+        (Sim_crypto.Sealer.to_bytes expect) (Sim_crypto.Sealer.to_bytes row)
+  done;
+  for i = 16 to 47 do
+    checki (Printf.sprintf "stamp of page %d" i) (stamp i) (page_in_stamp m os proc i)
+  done
+
+(* The store copies a deferred plaintext: pages added from one buffer
+   the caller rewrites between calls each keep what it held then. *)
+let test_deferred_put_copies_buffer () =
+  let buf = Page_data.create () in
+  let m, os, proc =
+    boot_deferred ~data:(fun i ->
+        Page_data.fill_int buf (900 + i);
+        buf)
+  in
+  for i = 16 to 47 do
+    checki (Printf.sprintf "stamp of page %d" i) (900 + i) (page_in_stamp m os proc i)
+  done
+
+(* Releasing a process whose deferred boot pages nothing read seals none
+   of them: the store keeps its size in words, and the release allocates
+   less than a word per stored page (a row is 13). *)
+let test_release_seals_nothing () =
+  let m = Helpers.machine ~epc_frames:256 () in
+  let os = Sim_os.Kernel.create m in
+  let proc = boot_swapped os in
+  let swap = Sim_os.Kernel.swap os proc in
+  let stored = Sim_os.Swap_store.size swap in
+  let before = Obj.reachable_words (Obj.repr swap) in
+  let words = Helpers.words_allocated (fun () -> Sim_os.Kernel.release_proc os proc) in
+  checki "stored pages" 448 stored;
+  checki "store words after release" before (Obj.reachable_words (Obj.repr swap));
+  if Helpers.native then
+    checkb
+      (Printf.sprintf "%.0f words allocated < %d" words stored)
+      true
+      (words < float_of_int stored)
+
+(* A row the OS cut below its trailer carries no version: teardown
+   leaves that entry's slot alone, frees the other 447, and raises
+   nothing. *)
+let test_release_survives_short_row () =
+  let m = Helpers.machine ~epc_frames:256 () in
+  let os = Sim_os.Kernel.create m in
+  let proc = boot_swapped os in
+  let swap = Sim_os.Kernel.swap os proc in
+  let p = vp proc 100 in
+  let pcmd =
+    match Sim_os.Swap_store.peek swap p with
+    | Some (_, pcmd) -> pcmd
+    | None -> Alcotest.fail "page not swapped"
+  in
+  Sim_os.Swap_store.replace_raw swap p (Sim_crypto.Sealer.of_bytes (Bytes.make 8 'x')) ~pcmd;
+  Sim_os.Kernel.release_proc os proc;
+  checki "free VA slots" 511 (Machine.free_va_slots m)
+
 (* Nothing on the machine or in the kernel may pin a released enclave
    (through [Enclave.entry] it reaches the runtime, the pager and the
    sealed blobs). *)
@@ -461,6 +624,10 @@ let suite =
     ("blob store/load", `Quick, test_blob_store_load);
     ("release frees VA slots", `Quick, test_release_frees_va_slots);
     ("release spares a forged PCMD's slot", `Quick, test_release_spares_forged_slot);
+    ("release seals nothing", `Quick, test_release_seals_nothing);
+    ("release survives a short forged row", `Quick, test_release_survives_short_row);
+    ("deferred rows match the reference", `Quick, test_deferred_rows_match_reference);
+    ("deferred put copies the caller's buffer", `Quick, test_deferred_put_copies_buffer);
     ("syscall charges", `Quick, test_syscall_charges);
     ("self-paging fault forces handler", `Quick, test_selfpaging_fault_forces_handler);
     ("legacy silent resume", `Quick, test_legacy_silent_resume_counter);

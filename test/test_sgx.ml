@@ -19,11 +19,30 @@ let test_epc_alloc_release () =
   Epc.release epc f1;
   checki "released" 3 (Epc.free_frames epc)
 
+(* A second release of a frame raises and leaves the free pool alone:
+   the stack does not hold the frame twice. *)
+let test_epc_double_release_rejected () =
+  let epc = Epc.create ~frames:4 in
+  let f1 = Epc.alloc epc in
+  ignore (Epc.alloc epc);
+  Epc.release epc f1;
+  checkb "second release raises" true
+    (match Epc.release epc f1 with
+     | () -> false
+     | exception Types.Sgx_error _ -> true);
+  checki "free frames" 3 (Epc.free_frames epc);
+  let a = Epc.alloc epc in
+  let b = Epc.alloc epc in
+  checkb "next two allocs differ" true (a <> b)
+
 let test_epc_exhaustion () =
   let epc = Epc.create ~frames:2 in
   ignore (Epc.alloc epc);
   ignore (Epc.alloc epc);
   checki "exhausted" (-1) (Epc.alloc epc)
+
+let test_tlb_create_rejects_capacity () =
+  Helpers.check_invalid_arg ~naming:"capacity" (fun () -> Tlb.create ~capacity:0 ())
 
 let test_epc_create_rejects_frames () =
   Helpers.check_invalid_arg ~naming:"frames" (fun () -> Epc.create ~frames:0)
@@ -589,6 +608,7 @@ let test_cpu_dead_enclave_rejected () =
 let suite =
   [
     ("epc alloc/release", `Quick, test_epc_alloc_release);
+    ("epc double release rejected", `Quick, test_epc_double_release_rejected);
     ("epc exhaustion", `Quick, test_epc_exhaustion);
     ("epc create rejects zero frames", `Quick, test_epc_create_rejects_frames);
     ("epcm bind + reverse lookup", `Quick, test_epcm_bind_reverse);
@@ -600,6 +620,7 @@ let suite =
     ("tlb hit/miss", `Quick, test_tlb_hit_miss);
     ("tlb flush", `Quick, test_tlb_flush);
     ("tlb capacity eviction", `Quick, test_tlb_capacity_eviction);
+    ("tlb create rejects capacity", `Quick, test_tlb_create_rejects_capacity);
     ("enclave ranges", `Quick, test_enclave_ranges);
     ("enclave lifecycle", `Quick, test_enclave_lifecycle);
     ("enclave regions disjoint", `Quick, test_enclave_regions_disjoint);

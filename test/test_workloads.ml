@@ -180,6 +180,31 @@ let test_uthash_rejects_target_chain () =
   Helpers.check_invalid_arg ~naming:"target_chain" (fun () ->
       uthash_with ~target_chain:0 ())
 
+let jpeg_with ?(blocks_w = 2) ?(blocks_h = 2) () =
+  Workloads.Jpeg.create ~vm:Workloads.Vm.null ~alloc:(bump_alloc ()) ~blocks_w
+    ~blocks_h
+
+let test_jpeg_rejects_blocks_w () =
+  Helpers.check_invalid_arg ~naming:"blocks_w" (fun () -> jpeg_with ~blocks_w:0 ())
+
+let test_jpeg_rejects_blocks_h () =
+  Helpers.check_invalid_arg ~naming:"blocks_h" (fun () -> jpeg_with ~blocks_h:0 ())
+
+let font_with ?(glyphs = 4) ?(code_pages = 4) () =
+  Workloads.Fontrender.create ~vm:Workloads.Vm.null ~alloc:(bump_alloc ()) ~glyphs
+    ~code_pages
+
+let test_font_rejects_glyphs () =
+  Helpers.check_invalid_arg ~naming:"glyphs" (fun () -> font_with ~glyphs:0 ())
+
+let test_font_rejects_code_pages () =
+  Helpers.check_invalid_arg ~naming:"code_pages" (fun () -> font_with ~code_pages:1 ())
+
+let test_kernels_rejects_units () =
+  Helpers.check_invalid_arg ~naming:"units" (fun () ->
+      Workloads.Kernels.run (Workloads.Kernels.find "kmeans") ~vm:Workloads.Vm.null
+        ~rng:(Metrics.Rng.create ~seed:1L) ~units:0 ())
+
 (* Everything a table does, hashed: the VM traffic it emits (events,
    compute cycles and progress, in order) and every value it returns,
    for two table geometries and spellcheck's 64-byte entries.  The
@@ -614,6 +639,11 @@ let suite =
     ("uthash create rejects n_items", `Quick, test_uthash_rejects_n_items);
     ("uthash create rejects item_bytes", `Quick, test_uthash_rejects_item_bytes);
     ("uthash create rejects target_chain", `Quick, test_uthash_rejects_target_chain);
+    ("jpeg create rejects blocks_w", `Quick, test_jpeg_rejects_blocks_w);
+    ("jpeg create rejects blocks_h", `Quick, test_jpeg_rejects_blocks_h);
+    ("fontrender create rejects glyphs", `Quick, test_font_rejects_glyphs);
+    ("fontrender create rejects code_pages", `Quick, test_font_rejects_code_pages);
+    ("kernels run rejects units", `Quick, test_kernels_rejects_units);
     ("ycsb workload C all reads", `Quick, test_ycsb_workload_c_all_reads);
     ("ycsb workload A mix", `Quick, test_ycsb_workload_a_mix);
     ("ycsb fractions validated", `Quick, test_ycsb_fractions_validated);
