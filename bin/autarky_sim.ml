@@ -752,6 +752,35 @@ let serve_cmd =
       const run $ quick_arg $ no_arbiter_arg $ out_arg $ seed_arg $ members_arg
       $ tenants_arg $ check_arg $ tolerance_arg $ jobs_arg)
 
+(* --- footprint ------------------------------------------------------------- *)
+
+let footprint_cmd =
+  let doc =
+    "Print the memory ledger of a committed serve scenario in quick mode: \
+     host heap bytes in total and per tenant for each structure class \
+     (swap stores, Flat windows, workload tables, latency sketches, EPC \
+     payloads, EPCM, TLB, ORAM), blocks shared between owners, and the \
+     unattributed rest of the words reachable from the engine state, \
+     once after the fleet starts and once after the run."
+  in
+  let scenario_arg =
+    let doc = "$(b,fleet) (100 tenants) or $(b,default) (three tenants)." in
+    Arg.(
+      value
+      & opt (enum [ ("fleet", Serve.Driver.Fleet); ("default", Serve.Driver.Default) ])
+          Serve.Driver.Fleet
+      & info [ "scenario" ] ~doc ~docv:"NAME")
+  in
+  let run scenario seed =
+    let at_start, at_end = Serve.Driver.footprint ~scenario ~seed in
+    Format.printf "%a%a@?"
+      (Harness.Footprint.pp ~label:"after start")
+      at_start
+      (Harness.Footprint.pp ~label:"after run")
+      at_end
+  in
+  Cmd.v (Cmd.info "footprint" ~doc) Term.(const run $ scenario_arg $ seed_arg)
+
 (* --- bench-validate -------------------------------------------------------- *)
 
 let bench_validate_cmd =
@@ -1060,6 +1089,7 @@ let () =
             kernels_cmd;
             perf_cmd;
             serve_cmd;
+            footprint_cmd;
             bench_validate_cmd;
             redteam_cmd;
             defend_cmd;

@@ -32,6 +32,10 @@ let create ~clusters ~base_vpage ~pages ~cluster_pages =
     sparse = None;
   }
 
+let footprint t acc =
+  Sgx.Flat.footprint t.in_use acc;
+  Clusters.footprint t.clusters acc
+
 let clusters t = t.clusters
 let base_vpage t = t.base
 let end_vpage t = t.next_fresh

@@ -23,6 +23,9 @@ val create :
 val clusters : t -> Clusters.t
 (** The cluster registry this allocator populates. *)
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the in-use window and the cluster index's page window. *)
+
 val alloc_page : t -> Sgx.Types.vpage
 (** Take one page (registered with the current cluster).
     Raises [Out_of_memory] when the region is exhausted. *)

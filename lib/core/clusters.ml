@@ -62,6 +62,8 @@ let create () =
     stamp = 0;
   }
 
+let footprint t acc = Sgx.Flat.footprint t.slot_of acc
+
 let grow a n fill =
   let b = Array.make n fill in
   Array.blit a 0 b 0 (Array.length a);

@@ -17,6 +17,9 @@ type t
 
 val create : unit -> t
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the page -> slot window. *)
+
 (** {1 The Table 1 API} *)
 
 val ay_init_clusters : t -> n:int -> size:int -> cluster_id list

@@ -70,6 +70,12 @@ let create ?(writeback = `Dirty_only) ~machine ~enclave ~touch ~oram
     copy_out = (fun oram_data -> blit_page ~src:!page ~dst:oram_data);
   }
 
+(* [t.page] points at a cache page's EPC payload, counted by the EPC. *)
+let footprint t acc =
+  let module W = Metrics.Words in
+  List.iter (W.add_block acc W.Oram)
+    [ Obj.repr t; Obj.repr t.slots; Obj.repr t.slot_of; Obj.repr t.dirty; Obj.repr t.page ]
+
 let in_data_region t vaddr =
   let vp = Sgx.Types.vpage_of_vaddr vaddr in
   vp >= t.data_base && vp < t.data_base + t.n_pages

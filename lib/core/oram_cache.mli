@@ -32,6 +32,9 @@ val create :
     @raise Invalid_argument when [n_pages] or [capacity_pages] is not
     positive, or [n_pages] exceeds the ORAM's block count. *)
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the slot tables as [Oram] (not the tree it caches). *)
+
 val in_data_region : t -> Sgx.Types.vaddr -> bool
 
 val data_region : t -> Sgx.Types.vpage * int

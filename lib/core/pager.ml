@@ -66,6 +66,11 @@ let create ~machine ~enclave ~os ~mech ~budget =
   }
 
 let mech t = t.pager_mech
+
+let footprint t acc =
+  Sgx.Flat.footprint t.seq_of acc;
+  Sgx.Flat.footprint t.versions acc
+
 let budget t = t.budget
 let set_budget t n = t.budget <- n
 let resident t vp = Sgx.Flat.mem t.seq_of vp

@@ -28,6 +28,9 @@ val create :
     positive. *)
 
 val mech : t -> mech
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the residence (seq) and version windows. *)
+
 val budget : t -> int
 val set_budget : t -> int -> unit
 val resident : t -> vpage -> bool

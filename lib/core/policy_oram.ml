@@ -50,6 +50,8 @@ let policy t =
   {
     Runtime.pol_name = "oram";
     pol_balloon = (fun n -> balloon t n);
+    (* The cache and its tree are counted by whoever built them. *)
+    pol_footprint = ignore;
     pol_on_miss =
       (fun vp _sf ->
         let reason =

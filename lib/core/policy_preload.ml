@@ -161,4 +161,5 @@ let policy t =
     Runtime.pol_name = "preload";
     pol_on_miss = (fun vp sf -> on_miss t vp sf);
     pol_balloon = (fun n -> balloon t n);
+    pol_footprint = Sgx.Flat.footprint t.set;
   }

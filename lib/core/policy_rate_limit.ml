@@ -137,4 +137,5 @@ let balloon t n =
 let policy t =
   { Runtime.pol_name = "rate-limit";
     pol_on_miss = (fun vp sf -> on_miss t vp sf);
-    pol_balloon = (fun n -> balloon t n) }
+    pol_balloon = (fun n -> balloon t n);
+    pol_footprint = Sgx.Flat.footprint t.fault_counts }

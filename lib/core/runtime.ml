@@ -4,6 +4,7 @@ type policy = {
   pol_name : string;
   pol_on_miss : vpage -> Sgx.Types.ssa_fault -> unit;
   pol_balloon : int -> int;
+  pol_footprint : Metrics.Words.t -> unit;
 }
 
 type t = {
@@ -34,6 +35,11 @@ let set_policy t p = t.rt_policy <- p
 let is_enclave_managed t vp = Sgx.Flat.mem t.enclave_managed vp
 let faults_handled t = t.faults
 
+let footprint t acc =
+  Sgx.Flat.footprint t.enclave_managed acc;
+  Pager.footprint t.rt_pager acc;
+  t.rt_policy.pol_footprint acc
+
 let incr _t cell = Metrics.Counters.cell_incr cell
 
 (* In-enclave tracing: these events never leave the enclave and are
@@ -60,6 +66,7 @@ let pinned_policy t =
                vp));
     (* Every pinned page is sensitive: refuse to deflate. *)
     pol_balloon = (fun _ -> 0);
+    pol_footprint = ignore;
   }
 
 (* The trusted exception handler, invoked (by hardware guarantee) on
@@ -154,7 +161,7 @@ let create ~machine ~enclave ~os ~mech ~budget =
       enclave_managed = Sgx.Flat.create ();
       rt_policy =
         { pol_name = "uninitialized"; pol_on_miss = (fun _ _ -> ());
-          pol_balloon = (fun _ -> 0) };
+          pol_balloon = (fun _ -> 0); pol_footprint = ignore };
       faults = 0;
       c_handler_invocations = cell "rt.handler_invocations";
       c_attack_detected = cell "rt.attack_detected";

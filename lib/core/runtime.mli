@@ -34,6 +34,8 @@ type policy = {
           guarantees* (whole clusters, FIFO batches, or nothing at all —
           refusing is legitimate for pinned/ORAM policies whose pages are
           all sensitive) and returns the number of pages released. *)
+  pol_footprint : Metrics.Words.t -> unit;
+      (** Count the structures the policy built ({!Harness.Footprint}). *)
 }
 
 type t
@@ -66,3 +68,7 @@ val mark_enclave_managed : t -> vpage list -> unit
 val mark_os_managed : t -> vpage list -> unit
 val is_enclave_managed : t -> vpage -> bool
 val faults_handled : t -> int
+
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the enclave-managed window, the pager's windows and the
+    installed policy's structures. *)

@@ -183,5 +183,9 @@ let manage t pages =
   let rt = runtime_exn t in
   Autarky.Runtime.mark_enclave_managed rt pages
 
+let footprint t acc =
+  Sim_os.Kernel.proc_footprint t.sys_proc acc;
+  Option.iter (fun rt -> Autarky.Runtime.footprint rt acc) t.sys_runtime
+
 let run_in_enclave t f =
   Sgx.Instructions.eenter_run t.sys_machine (enclave t) f

@@ -103,5 +103,10 @@ val pin : t -> Sgx.Types.vpage list -> unit
 val manage : t -> Sgx.Types.vpage list -> unit
 (** Mark pages enclave-managed without prefetching (demand-paged data). *)
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the kernel process's structures and, when self-paging, the
+    runtime's ({!Sim_os.Kernel.proc_footprint},
+    {!Autarky.Runtime.footprint}). *)
+
 val run_in_enclave : t -> (unit -> 'a) -> 'a
 (** EENTER, run, EEXIT — one enclave entry around a workload phase. *)

@@ -100,6 +100,9 @@ let merge_into ~into src =
   if src.fsums.(1) < into.fsums.(1) then into.fsums.(1) <- src.fsums.(1);
   if src.fsums.(2) > into.fsums.(2) then into.fsums.(2) <- src.fsums.(2)
 
+let footprint t acc =
+  List.iter (Words.add_block acc Words.Latency) [ Obj.repr t; Obj.repr t.buckets; Obj.repr t.fsums ]
+
 let merged ts =
   let out = create () in
   List.iter (fun t -> merge_into ~into:out t) ts;

@@ -64,3 +64,6 @@ val merge_into : into:t -> t -> unit
 
 val merged : t list -> t
 (** Fresh sketch over the pooled streams of all inputs. *)
+
+val footprint : t -> Words.t -> unit
+(** Count the sketch's blocks as [Latency] ({!Words}). *)

@@ -64,6 +64,14 @@ let create ~clock ~rng ?(z = 4) ?(metadata = `Direct) ~n_blocks () =
     c_access = Metrics.Counters.cell (Metrics.Clock.counters clock) "oram.access";
   }
 
+(* Unread blocks share one zero page, so payloads count by identity. *)
+let footprint t acc =
+  let module W = Metrics.Words in
+  List.iter (W.add_block acc W.Oram)
+    [ Obj.repr t; Obj.repr t.tree; Obj.repr t.posmap; Obj.repr t.payload;
+      Obj.repr t.stash; Obj.repr t.in_stash ];
+  Array.iter (fun p -> W.once acc ~cls:W.Oram p ~words:(W.block p)) t.payload
+
 let n_blocks t = t.n_blocks
 let levels t = t.levels
 let leaves t = t.leaves

@@ -58,6 +58,9 @@ val read : t -> block:int -> Sgx.Page_data.t
 
 val write : t -> block:int -> Sgx.Page_data.t -> unit
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the tree, position map, stash and payloads as [Oram]. *)
+
 val set_tracing : t -> bool -> unit
 (** Record the leaf label of every access (for obliviousness tests). *)
 

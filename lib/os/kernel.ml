@@ -143,6 +143,12 @@ let create_proc t ~size_pages ~self_paging ~epc_limit =
 
 let enclave proc = proc.enclave
 let page_table proc = proc.pt
+
+let proc_footprint proc acc =
+  Swap_store.footprint proc.proc_swap acc;
+  List.iter
+    (fun w -> Flat.footprint w acc)
+    [ proc.pt; proc.enclave_managed; proc.intended_perms; proc.queue_seq ]
 let resident_pages proc = proc.resident_count
 let epc_limit proc = proc.epc_limit
 let set_epc_limit proc n = proc.epc_limit <- n

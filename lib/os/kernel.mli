@@ -52,6 +52,11 @@ val create_proc :
 val enclave : proc -> Sgx.Enclave.t
 val page_table : proc -> Sgx.Page_table.t
 val resident_pages : proc -> int
+
+val proc_footprint : proc -> Metrics.Words.t -> unit
+(** Count the process's swap store and its page-state windows (page
+    table, enclave-managed and intended-perms tables, queue seqs). *)
+
 val epc_limit : proc -> int
 val set_epc_limit : proc -> int -> unit
 

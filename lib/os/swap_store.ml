@@ -153,3 +153,17 @@ let iter_versions f t =
     t.index
 
 let replace_raw = put
+
+(* Vacant slots share [vacant] and all-zero deferred entries [t.zero];
+   the sealer is the machine's. *)
+let footprint t acc =
+  let module W = Metrics.Words in
+  List.iter (W.add_block acc W.Swap_stores)
+    [ Obj.repr t; Obj.repr t.rows; Obj.repr t.pcmds; Obj.repr t.versions; Obj.repr t.free ];
+  Sgx.Flat.footprint t.index acc;
+  Array.iter
+    (fun r ->
+      if r == vacant || r == t.zero then W.once acc ~cls:W.Swap_stores r ~words:(W.block r)
+      else W.add_block acc W.Swap_stores r)
+    t.rows;
+  W.once acc t.sealer ~words:(Obj.reachable_words (Obj.repr t.sealer))

@@ -83,3 +83,8 @@ val replace_raw : t -> Sgx.Types.vpage -> Sim_crypto.Sealer.sealed -> pcmd:int -
 
 val delete : t -> Sgx.Types.vpage -> unit
 (** Adversarial: drop a stored entry (the OS "loses" an evicted page). *)
+
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the store's rows and slot arrays as [Swap_stores] (a zero page
+    its deferred entries share, once), its index as [Flat_windows], and
+    the machine's sealer once as a shared block. *)

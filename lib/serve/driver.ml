@@ -381,6 +381,23 @@ let params ~seed ~no_arbiter =
     p_arbiter = (if no_arbiter then None else p.Engine.p_arbiter);
   }
 
+let fleet_tenants = 100
+
+let footprint ~scenario ~seed =
+  let cfgs =
+    match scenario with
+    | Default -> default_scenario ~quick:true
+    | Fleet -> fleet_scenario ~tenants:fleet_tenants ~quick:true
+  in
+  let params = { (params ~seed ~no_arbiter:false) with Engine.p_sketch = true } in
+  let st = Engine.start ~params cfgs in
+  let at_start = Engine.footprint st in
+  while Engine.step st do
+    ()
+  done;
+  ignore (Engine.finish st);
+  (at_start, Engine.footprint st)
+
 (* One member: its own machine, its own seed, its rows.  Self-contained,
    so members shard over the pool and merge in member order. *)
 let run_member ~params cfgs member =

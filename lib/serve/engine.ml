@@ -669,6 +669,11 @@ let finish st =
     r_digest = digest;
   }
 
+let footprint st =
+  Harness.Footprint.measure ~root:st ~tenants:(Array.length st.st_tenants) (fun acc ->
+      Sgx.Machine.footprint st.st_machine acc;
+      Array.iter (fun tn -> Tenant.footprint tn acc) st.st_tenants)
+
 let machine_of st = st.st_machine
 let end_cycle st = st.st_end
 

@@ -123,6 +123,12 @@ val finish : state -> result
 (** Emit the per-tenant "done" trace events and close out the result.
     Call once, after the final [step]. *)
 
+val footprint : state -> Harness.Footprint.t
+(** The memory ledger of the fleet: the machine's structures, then each
+    tenant's ({!Tenant.footprint}), reconciled against the words
+    reachable from [state].  Reads the heap only, so it may run between
+    any two {!step}s without moving a modeled figure. *)
+
 val machine_of : state -> Sgx.Machine.t
 val end_cycle : state -> int
 (** Virtual cycle of the latest event processed so far. *)

@@ -88,6 +88,7 @@ type slice = {
   sl_proc : Sim_os.Kernel.proc;
   mutable sl_op : int -> unit;
   mutable sl_probe : int -> int list;
+  mutable sl_tables : Metrics.Words.t -> unit;  (* the workload's footprint *)
   sl_heap : Autarky.Allocator.t;
   sl_epc_limit : int;  (* the allowance this incarnation booted with *)
   sl_iref : (Sgx.Types.vaddr -> Sgx.Types.access_kind -> unit) option ref;
@@ -383,6 +384,7 @@ let build_slice t =
       sl_proc = proc;
       sl_op = (fun _ -> ());
       sl_probe = (fun _ -> []);
+      sl_tables = ignore;
       sl_heap = heap;
       sl_epc_limit = epc_limit;
       sl_iref = ref None;
@@ -405,21 +407,24 @@ let build_slice t =
       ~on_progress:(fun () -> !(sl.sl_progress) ())
       ()
   in
-  let op, probe =
+  let op, probe, tables =
     match cfg.workload with
     | Kvstore ->
       let kv =
         Workloads.Kvstore.create ~vm ~alloc ~rng:build_rng ~n_entries:(n_keys cfg)
           ~value_bytes:1_024 ()
       in
-      ((fun k -> ignore (Workloads.Kvstore.get kv ~key:k)), fun _ -> [])
+      ( (fun k -> ignore (Workloads.Kvstore.get kv ~key:k)),
+        (fun _ -> []),
+        Workloads.Kvstore.footprint kv )
     | Spellcheck ->
       let d =
         Workloads.Spellcheck.load_dictionary ~vm ~alloc ~rng:build_rng
           ~name:cfg.name ~n_words:(n_keys cfg) ()
       in
       ( (fun k -> ignore (Workloads.Spellcheck.check d ~word:k)),
-        fun k -> Workloads.Spellcheck.signature d ~word:k )
+        (fun k -> Workloads.Spellcheck.signature d ~word:k),
+        Workloads.Spellcheck.footprint d )
     | Uthash ->
       let u =
         Workloads.Uthash.create ~vm ~alloc ~rng:build_rng ~n_items:(n_keys cfg)
@@ -430,10 +435,12 @@ let build_slice t =
       ( (fun k ->
           ignore (Workloads.Uthash.find u ~key:k);
           vm.Workloads.Vm.progress ()),
-        fun k -> Workloads.Uthash.probe_pages u ~key:k )
+        (fun k -> Workloads.Uthash.probe_pages u ~key:k),
+        Workloads.Uthash.footprint u )
   in
   sl.sl_op <- op;
   sl.sl_probe <- probe;
+  sl.sl_tables <- tables;
   finish ();
   sl
 
@@ -484,6 +491,21 @@ let create ?(sketch = false) ~machine ~hv ~vm ~seed_base cfg =
      lands on the virtual timeline, not in setup. *)
   if t.state <> Parked then t.slice <- Some (build_slice t);
   t
+
+(* A departed or parked tenant holds no slice, only its sketch. *)
+let footprint t acc =
+  Option.iter
+    (fun sl ->
+      System.footprint sl.sl_sys acc;
+      Autarky.Allocator.footprint sl.sl_heap acc;
+      sl.sl_tables acc;
+      Option.iter
+        (fun p ->
+          Oram.Path_oram.footprint p.op_oram acc;
+          Autarky.Oram_cache.footprint p.op_cache acc)
+        sl.sl_oram)
+    t.slice;
+  Option.iter (fun sk -> Metrics.Sketch.footprint sk acc) t.lat_sketch
 
 let config t = t.cfg
 let name t = t.cfg.name

@@ -81,6 +81,11 @@ val create :
     When [config.arrive_after > 0] the tenant is created [Parked]: no
     enclave is built until {!boot}. *)
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the live incarnation's platform slice ({!Harness.System.footprint}),
+    its heap allocator, workload tables and ORAM parts, and the latency
+    sketch ({!Harness.Footprint}). *)
+
 val config : t -> config
 val name : t -> string
 val sys : t -> Harness.System.t

@@ -173,6 +173,17 @@ let bind ?(track_reverse = true) t ~frame ~enclave_id ~vpage ~perms ~ptype ~pend
     Flat.set t.reverse.(enclave_id) vpage frame
   end
 
+(* Free frames share [zero]; every bound frame holds its own payload. *)
+let footprint t acc =
+  let module W = Metrics.Words in
+  List.iter (W.add_block acc W.Epcm) [ Obj.repr t; Obj.repr t.epcm; Obj.repr t.free ];
+  W.add_block acc W.Epcm t.in_use;
+  W.add_block acc W.Epc_payloads t.contents;
+  W.once acc ~cls:W.Epc_payloads t.zero ~words:(W.block t.zero);
+  Array.iter (fun d -> if d != t.zero then W.add_block acc W.Epc_payloads d) t.contents;
+  W.add_block acc W.Flat_windows t.reverse;
+  Array.iter (fun w -> Flat.footprint w acc) t.reverse
+
 let drop_enclave t ~enclave_id =
   if enclave_id >= 0 && enclave_id < Array.length t.reverse then
     t.reverse.(enclave_id) <- Flat.create ()

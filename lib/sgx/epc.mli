@@ -108,6 +108,11 @@ val bind :
     or [vpage] lies outside [[-1, max]] ({!max_enclave_id},
     {!max_vpage}). *)
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the EPCM, free stack and bitset as [Epcm], the frame contents
+    as [Epc_payloads] (the shared zero payload once), and the reverse
+    index as [Flat_windows]. *)
+
 val drop_enclave : t -> enclave_id:int -> unit
 (** Swap the enclave's reverse-index window for an empty one, freeing
     the window's memory.  For the OS tearing a process down, once the

@@ -90,6 +90,13 @@ let fold f t init =
   iter (fun k v -> acc := f k v !acc) t;
   !acc
 
+let footprint t acc =
+  let module W = Metrics.Words in
+  W.add_block acc W.Flat_windows t;
+  if Array.length t.vals = 0 then W.once acc ~cls:W.Flat_windows t.vals ~words:(W.block t.vals)
+  else W.add_block acc W.Flat_windows t.vals;
+  W.add_slots acc ~slots:(Array.length t.vals) ~live:t.live
+
 (* Raw snapshot: window base + value array verbatim.  The geometry
    decides nothing observable except when the next [grow] fires, but the
    probe digest hashes the array, so it is preserved as-is. *)

@@ -51,6 +51,11 @@ val iter : (int -> int -> unit) -> t -> unit
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over the bindings in ascending key order. *)
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the map and its window as [Flat_windows], and the window's
+    slots and bindings into the occupancy totals.  The empty window a
+    fresh map shares with every other is counted once. *)
+
 (** {1 Raw state (snapshot/restore)}
 
     The window verbatim, base and slack included.  Re-inserting the

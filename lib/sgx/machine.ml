@@ -119,6 +119,13 @@ let create ?(model = Metrics.Cost_model.default) ?(mode = Full_exits) ~epc_frame
     branch_cursor = 0;
   }
 
+(* The sealer is shared with every swap store on the machine. *)
+let footprint t acc =
+  Epc.footprint t.epc acc;
+  Tlb.footprint t.tlb acc;
+  Flat.footprint t.va_slots acc;
+  Metrics.Words.once acc t.sealer ~words:(Obj.reachable_words (Obj.repr t.sealer))
+
 let model t = Metrics.Clock.model t.clock
 let charge t n = Metrics.Clock.charge t.clock n
 let counters t = Metrics.Clock.counters t.clock

@@ -96,6 +96,10 @@ val create :
   ?model:Metrics.Cost_model.t -> ?mode:transition_mode -> epc_frames:int ->
   unit -> t
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the EPC ({!Epc.footprint}), the TLB and the VA-slot window,
+    and the sealer once as a shared block. *)
+
 val model : t -> Metrics.Cost_model.t
 val charge : t -> int -> unit
 val counters : t -> Metrics.Counters.t

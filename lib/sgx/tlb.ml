@@ -207,6 +207,12 @@ let flush_page t vp =
 let size t = t.live
 let capacity t = t.cap
 
+let footprint t acc =
+  List.iter
+    (Metrics.Words.add_block acc Metrics.Words.Tlb)
+    [ Obj.repr t; Obj.repr t.keys; Obj.repr t.vals; Obj.repr t.gens;
+      Obj.repr t.scratch_k; Obj.repr t.scratch_v; Obj.repr t.ring ]
+
 (* Raw snapshot.  Everything observable must survive verbatim: the
    generation counter (dead slots from earlier generations stay dead),
    tombstones, and above all the FIFO ring *including stale entries* —

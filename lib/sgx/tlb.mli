@@ -48,6 +48,9 @@ val capacity : t -> int
     order after a restore must match the un-snapshotted run exactly
     (golden digests pin it), so nothing is normalised on export. *)
 
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the table, its rebuild buffers and its FIFO ring as [Tlb]. *)
+
 type raw = {
   raw_cap : int;
   raw_keys : int array;

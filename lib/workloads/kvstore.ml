@@ -65,6 +65,10 @@ let create ~vm ~alloc ~rng ~n_entries ~value_bytes ?(slab_pages = 16) () =
 
 let n_entries t = Array.length t.item_addr
 
+let footprint t acc =
+  Metrics.Words.add_block acc Metrics.Words.Workload_tables t;
+  Metrics.Words.add_block acc Metrics.Words.Workload_tables t.item_addr
+
 let get t ~key =
   if key < 0 || key >= n_entries t then false
   else begin

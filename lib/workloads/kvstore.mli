@@ -25,6 +25,10 @@ val get : t -> key:int -> bool
 val set : t -> key:int -> unit
 
 val n_entries : t -> int
+
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the store and its key -> item index as [Workload_tables]. *)
+
 val item_pages : t -> int list
 (** Distinct pages of the slab area (what a policy protects). *)
 

@@ -16,6 +16,10 @@ let load_dictionary ~vm ~alloc ~rng ~name ~n_words ?(entry_bytes = 64) () =
 let name d = d.dict_name
 let n_words d = Uthash.n_items d.table
 
+let footprint d acc =
+  Metrics.Words.add_block acc Metrics.Words.Workload_tables d;
+  Uthash.footprint d.table acc
+
 let pages d =
   List.sort_uniq compare (Uthash.item_pages d.table @ Uthash.head_pages d.table)
 

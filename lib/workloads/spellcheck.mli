@@ -25,6 +25,9 @@ val load_dictionary :
 val name : dictionary -> string
 val n_words : dictionary -> int
 
+val footprint : dictionary -> Metrics.Words.t -> unit
+(** Count the dictionary and its table as [Workload_tables]. *)
+
 val pages : dictionary -> int list
 (** All pages of the dictionary (bucket heads + entries): the cluster. *)
 

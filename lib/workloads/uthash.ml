@@ -57,6 +57,11 @@ let create ~vm ~alloc ~rng ~n_items ~item_bytes ~target_chain =
   Array.iter (fun idx -> insert t idx) order;
   t
 
+let footprint t acc =
+  List.iter
+    (Metrics.Words.add_block acc Metrics.Words.Workload_tables)
+    [ Obj.repr t; Obj.repr t.items; Obj.repr t.heads ]
+
 let n_items t = Array.length t.items / 2
 let n_buckets t = t.bucket_count
 

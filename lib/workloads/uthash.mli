@@ -31,6 +31,11 @@ val create :
 
 val n_items : t -> int
 val n_buckets : t -> int
+
+val footprint : t -> Metrics.Words.t -> unit
+(** Count the table, its items and its bucket heads as
+    [Workload_tables]. *)
+
 val mean_chain_length : t -> float
 
 val find : t -> key:int -> bool

@@ -48,6 +48,7 @@ let test_policy_no_fetch_terminates () =
       Autarky.Runtime.pol_name = "broken";
       pol_on_miss = (fun _ _ -> ());  (* "handles" the miss without fetching *)
       pol_balloon = (fun _ -> 0);
+      pol_footprint = ignore;
     };
   let cpu = Harness.System.cpu sys in
   expect_terminated ~sub:"did not fetch" (fun () ->

@@ -564,6 +564,50 @@ let test_check_gate_rejects_malformed () =
   Sys.remove file;
   checkb "missing file" false (Serve.Driver.check ~baseline:file ())
 
+(* --- memory ledger ------------------------------------------------------- *)
+
+let ledger = lazy (Serve.Driver.footprint ~scenario:Serve.Driver.Fleet ~seed:1)
+
+(* Words per tenant of each class after the committed quick fleet's
+   run, each bounded about 5% above the value measured when the bound
+   was set, so one structure cannot grow inside a total that another
+   shrank. *)
+let test_footprint_classes_per_tenant () =
+  let _, fp = Lazy.force ledger in
+  List.iter
+    (fun (cls, bound) ->
+      let per_tenant = Harness.Footprint.words fp cls / fp.Harness.Footprint.tenants in
+      let name = Metrics.Words.class_name cls in
+      if per_tenant <= 0 || per_tenant > bound then
+        Alcotest.failf "%s: %d words per tenant (bound %d)" name per_tenant bound)
+    Metrics.Words.
+      [ (Swap_stores, 1_410); (Flat_windows, 3_110); (Workload_tables, 2_280);
+        (Latency, 1_960); (Epc_payloads, 1_530); (Epcm, 370); (Tlb, 335);
+        (Oram, 275) ]
+
+let test_footprint_reconciles () =
+  let at_start, at_end = Lazy.force ledger in
+  List.iter
+    (fun (label, fp) ->
+      let attributed =
+        fp.Harness.Footprint.shared
+        + List.fold_left (fun a (_, w) -> a + w) 0 fp.Harness.Footprint.by_class
+      in
+      if attributed > fp.Harness.Footprint.reachable then
+        Alcotest.failf "%s: %d words attributed, %d reachable" label attributed
+          fp.Harness.Footprint.reachable;
+      checkb (label ^ ": unattributed is the rest") true
+        (Harness.Footprint.unattributed fp = fp.Harness.Footprint.reachable - attributed))
+    [ ("after start", at_start); ("after run", at_end) ]
+
+let test_footprint_deterministic () =
+  let show (a, b) =
+    Format.asprintf "%a%a" (Harness.Footprint.pp ~label:"start") a
+      (Harness.Footprint.pp ~label:"run") b
+  in
+  checks "same report" (show (Lazy.force ledger))
+    (show (Serve.Driver.footprint ~scenario:Serve.Driver.Fleet ~seed:1))
+
 let suite =
   [
     ("event queue orders by time", `Quick, test_event_queue_ordering);
@@ -594,4 +638,7 @@ let suite =
     ("check gate round trip", `Quick, test_check_gate_round_trip);
     ("check gate rejects malformed baselines", `Quick,
      test_check_gate_rejects_malformed);
+    ("footprint classes per tenant", `Quick, test_footprint_classes_per_tenant);
+    ("footprint reconciles with reachable words", `Quick, test_footprint_reconciles);
+    ("footprint deterministic", `Quick, test_footprint_deterministic);
   ]
