@@ -2,7 +2,7 @@
     mergeable summary.
 
     The fleet-scale serve path cannot afford [Stats]' store-every-sample
-    accumulator (O(requests) memory) — this sketch keeps a fixed array
+    accumulator (O(requests) memory) — this sketch keeps a bounded set
     of counters per tenant instead, in the spirit of the p²/HDR family
     of streaming estimators.  We use a log-bucketed histogram rather
     than literal p² markers because bucket counts add: merging two
@@ -19,8 +19,14 @@
       exact <= sketch <= exact * (1 + {!relative_error})
 
     with [relative_error = 1/32] (3.125%).  Count, mean, min and max
-    are tracked exactly on the side.  State is ~1.9k int counters plus
-    three floats (~15 KiB) regardless of how many samples stream in. *)
+    are tracked exactly on the side.
+
+    The 1,856 buckets are stored as 58 chunks of 32 counters (one
+    octave each above 63), and a chunk is allocated on its first
+    sample.  A sketch therefore holds 67 words plus 33 per chunk its
+    samples reached, whatever their number: about 360 words for
+    latencies that span nine octaves, at most ~2k words (15 KiB) when
+    every chunk is hit. *)
 
 type t
 
@@ -30,14 +36,10 @@ val relative_error : float
 (** Worst-case one-sided relative error of {!quantile} for values
     outside the exact 0..63 range: [1/32]. *)
 
-val add : t -> float -> unit
-(** Record a sample.  Negative values clamp to 0; the value is rounded
-    to the nearest integer for bucketing (count/mean/min/max use the
-    value as given). *)
-
 val add_int : t -> int -> unit
-(** Allocation-free hot-path variant of {!add} for integer cycle
-    counts ([v >= 0]). *)
+(** Record a sample, such as a cycle count; a negative value counts as
+    0.  Allocates only the first sample of a chunk (at most 58 per
+    sketch), so a warmed sketch records without allocating. *)
 
 val count : t -> int
 val mean : t -> float
@@ -47,8 +49,8 @@ val max_value : t -> float
 
 val quantile : t -> float -> float
 (** [quantile t p] for [p] in [\[0,100\]], nearest-rank over the bucket
-    counts.  Raises [Invalid_argument] when empty or [p] is out of
-    range, like {!Stats.percentile}. *)
+    counts.  Raises [Invalid_argument] when empty or [p] is NaN or out
+    of range, like {!Stats.percentile}. *)
 
 val summary : t -> Stats.summary
 (** Sketch-derived count/mean/p50/p95/p99/max in {!Stats.summary} form
@@ -60,10 +62,11 @@ val merge_into : into:t -> t -> unit
     sample stream of both inputs.  Commutative and associative, so a
     fleet roll-up is independent of shard order — pooled-sketch
     percentiles carry the same [1/32] bound as a single sketch.  [src]
-    is unchanged. *)
+    is unchanged, and [into] shares no chunk with it. *)
 
 val merged : t list -> t
 (** Fresh sketch over the pooled streams of all inputs. *)
 
 val footprint : t -> Words.t -> unit
-(** Count the sketch's blocks as [Latency] ({!Words}). *)
+(** Count the sketch's blocks as [Latency] ({!Words}), the absent-chunk
+    marker once. *)

@@ -427,6 +427,119 @@ let test_sketch_merge_is_pooled () =
   checki "merged count" (Metrics.Sketch.count pooled)
     (Metrics.Sketch.count m12)
 
+(* The reference layout: all 1,856 bucket counters in one dense array,
+   with the same bucket map, nearest-rank walk and side sums as
+   [Metrics.Sketch].  The chunked sketch must answer every query as
+   this model does. *)
+module Dense = struct
+  type t = { buckets : int array; mutable n : int; fsums : float array }
+
+  let create () =
+    { buckets = Array.make 1856 0; n = 0; fsums = [| 0.0; infinity; neg_infinity |] }
+
+  let index v =
+    if v < 64 then v
+    else begin
+      let e = ref 6 in
+      while v asr (!e + 1) <> 0 do incr e done;
+      32 + ((!e - 6) * 32) + (v asr (!e - 5))
+    end
+
+  let repr idx =
+    if idx < 64 then idx
+    else
+      let k = idx - 64 in
+      let e = 6 + (k / 32) and sub = k mod 32 in
+      (1 lsl e) + ((sub + 1) * (1 lsl (e - 5))) - 1
+
+  let add_int t v =
+    let v = max 0 v in
+    t.buckets.(index v) <- t.buckets.(index v) + 1;
+    t.n <- t.n + 1;
+    let f = float_of_int v in
+    t.fsums.(0) <- t.fsums.(0) +. f;
+    if f < t.fsums.(1) then t.fsums.(1) <- f;
+    if f > t.fsums.(2) then t.fsums.(2) <- f
+
+  let mean t = if t.n = 0 then 0.0 else t.fsums.(0) /. float_of_int t.n
+  let min_value t = if t.n = 0 then 0.0 else t.fsums.(1)
+  let max_value t = if t.n = 0 then 0.0 else t.fsums.(2)
+
+  let quantile t p =
+    let rank = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int t.n))) in
+    let rec walk i cum =
+      let cum = cum + t.buckets.(i) in
+      if cum >= rank then float_of_int (repr i) else walk (i + 1) cum
+    in
+    walk 0 0
+
+  let merged ts =
+    let out = create () in
+    List.iter
+      (fun src ->
+        Array.iteri (fun i c -> out.buckets.(i) <- out.buckets.(i) + c) src.buckets;
+        out.n <- out.n + src.n;
+        out.fsums.(0) <- out.fsums.(0) +. src.fsums.(0);
+        if src.fsums.(1) < out.fsums.(1) then out.fsums.(1) <- src.fsums.(1);
+        if src.fsums.(2) > out.fsums.(2) then out.fsums.(2) <- src.fsums.(2))
+      ts;
+    out
+end
+
+(* Every query of the chunked sketch equals the dense model's. *)
+let agrees_with_dense sk (d : Dense.t) =
+  Metrics.Sketch.count sk = d.Dense.n
+  && Metrics.Sketch.mean sk = Dense.mean d
+  && Metrics.Sketch.min_value sk = Dense.min_value d
+  && Metrics.Sketch.max_value sk = Dense.max_value d
+  && List.for_all
+       (fun p ->
+         let p = float_of_int p in
+         if d.Dense.n = 0 then
+           match Metrics.Sketch.quantile sk p with
+           | exception Invalid_argument _ -> true
+           | _ -> false
+         else Metrics.Sketch.quantile sk p = Dense.quantile d p)
+       (List.init 101 Fun.id)
+
+(* Two sketches marshalled together and restored share nothing: adding
+   to one leaves the other as it was. *)
+let test_sketch_marshal_independent () =
+  let a = Metrics.Sketch.create () and b = Metrics.Sketch.create () in
+  List.iter (Metrics.Sketch.add_int a) [ 1; 2; 3; 7 ];
+  List.iter (Metrics.Sketch.add_int b) [ 5; 101; 101 ];
+  let a', b' =
+    (Marshal.from_string (Marshal.to_string (a, b) []) 0
+      : Metrics.Sketch.t * Metrics.Sketch.t)
+  in
+  for _ = 1 to 5_000 do Metrics.Sketch.add_int a' 5_000 done;
+  Metrics.Sketch.merge_into ~into:a' b';
+  Metrics.Sketch.add_int a' 40;
+  checki "count unchanged" (Metrics.Sketch.count b) (Metrics.Sketch.count b');
+  List.iter
+    (fun p ->
+      let p = float_of_int p in
+      if Metrics.Sketch.quantile b' p <> Metrics.Sketch.quantile b p then
+        Alcotest.failf "restored sketch p%.0f reads %.0f, not %.0f" p
+          (Metrics.Sketch.quantile b' p) (Metrics.Sketch.quantile b p))
+    (List.init 101 Fun.id)
+
+(* Latencies between 10^4 and 10^6 cycles span seven octaves, so the
+   sketch holds seven chunks; the ledger's count of it is exact. *)
+let test_sketch_words_follow_occupied_octaves () =
+  let sk = Metrics.Sketch.create () in
+  for i = 0 to 9_999 do Metrics.Sketch.add_int sk (10_000 + (i * 99)) done;
+  let words = Obj.reachable_words (Obj.repr sk) in
+  if words > 400 then Alcotest.failf "10k samples hold %d words" words;
+  let acc = Metrics.Words.create () in
+  Metrics.Sketch.footprint sk acc;
+  checki "ledger words = reachable words" words (Metrics.Words.words acc Metrics.Words.Latency)
+
+let test_sketch_quantile_rejects_nan () =
+  let sk = Metrics.Sketch.create () in
+  List.iter (Metrics.Sketch.add_int sk) [ 100; 5_000 ];
+  Helpers.check_invalid_arg ~naming:"bad p" (fun () -> Metrics.Sketch.quantile sk Float.nan)
+
 (* --- QCheck properties ------------------------------------------------ *)
 
 let qcheck_cases =
@@ -499,6 +612,33 @@ let qcheck_cases =
             [ 50.0; 95.0; 99.0 ]);
     ]
 
+(* Streams of small exact values, values up to 2^61 and runs of
+   duplicates (possibly none), split over up to four shards. *)
+let dense_model_case =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"sketch agrees with the dense model" ~count:200
+       QCheck2.Gen.(
+         pair
+           (list_size (int_range 0 200)
+              (pair
+                 (oneof
+                    [ int_range 0 63; int_range 64 1_000_000; int_range 0 (1 lsl 61) ])
+                 (int_range 1 4)))
+           (int_range 1 4))
+       (fun (runs, shards) ->
+         let vs = List.concat_map (fun (v, k) -> List.init k (fun _ -> v)) runs in
+         let sks = Array.init shards (fun _ -> Metrics.Sketch.create ()) in
+         let ds = Array.init shards (fun _ -> Dense.create ()) in
+         List.iteri
+           (fun i v ->
+             Metrics.Sketch.add_int sks.(i mod shards) v;
+             Dense.add_int ds.(i mod shards) v)
+           vs;
+         Array.for_all2 agrees_with_dense sks ds
+         && agrees_with_dense
+              (Metrics.Sketch.merged (Array.to_list sks))
+              (Dense.merged (Array.to_list ds))))
+
 let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
@@ -544,3 +684,9 @@ let suite =
     ("sketch merge is pooled", `Quick, test_sketch_merge_is_pooled);
   ]
   @ qcheck_cases
+  @ [
+      dense_model_case;
+      ("sketch marshal round trip shares no chunk", `Quick, test_sketch_marshal_independent);
+      ("sketch words follow occupied octaves", `Quick, test_sketch_words_follow_occupied_octaves);
+      ("sketch quantile rejects NaN", `Quick, test_sketch_quantile_rejects_nan);
+    ]

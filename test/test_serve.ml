@@ -271,13 +271,21 @@ let test_hot_paths_allocation_free () =
   let b1 = Gc.allocated_bytes () in
   if b1 -. b0 > 128.0 then
     Alcotest.failf "ring allocated %.0f bytes over 10k ops" (b1 -. b0);
+  (* A sketch allocates a chunk of 32 counters on the chunk's first
+     sample: the first pass over 97..970,000 touches chunks 2..15, and
+     the same stream again allocates nothing. *)
   let sk = Metrics.Sketch.create () in
-  Metrics.Sketch.add_int sk 1;
+  let stream () = for i = 1 to 10_000 do Metrics.Sketch.add_int sk (i * 97) done in
   let c0 = Gc.allocated_bytes () in
-  for i = 1 to 10_000 do Metrics.Sketch.add_int sk (i * 97) done;
+  stream ();
   let c1 = Gc.allocated_bytes () in
-  if c1 -. c0 > 128.0 then
-    Alcotest.failf "sketch add_int allocated %.0f bytes over 10k ops" (c1 -. c0)
+  let chunk_bytes = float_of_int (33 * (Sys.word_size / 8)) in
+  if c1 -. c0 > (14.0 *. chunk_bytes) +. 128.0 then
+    Alcotest.failf "sketch first pass allocated %.0f bytes, over 14 chunks" (c1 -. c0);
+  stream ();
+  let c2 = Gc.allocated_bytes () in
+  if c2 -. c1 > 128.0 then
+    Alcotest.failf "sketch add_int allocated %.0f bytes over 10k ops" (c2 -. c1)
 
 (* Per-served-request allocation of the whole engine loop, measured
    differentially (two runs of the same scenario, different request
@@ -582,7 +590,7 @@ let test_footprint_classes_per_tenant () =
         Alcotest.failf "%s: %d words per tenant (bound %d)" name per_tenant bound)
     Metrics.Words.
       [ (Swap_stores, 1_410); (Flat_windows, 3_110); (Workload_tables, 2_280);
-        (Latency, 1_960); (Epc_payloads, 1_530); (Epcm, 370); (Tlb, 335);
+        (Latency, 240); (Epc_payloads, 1_530); (Epcm, 370); (Tlb, 335);
         (Oram, 275) ]
 
 let test_footprint_reconciles () =
