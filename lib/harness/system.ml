@@ -35,11 +35,14 @@ let attach ?(mech = `Sgx1) ?budget ?wrap_os ~machine ~os ~proc () =
   let enclave = Sim_os.Kernel.enclave proc in
   let enclave_pages = enclave.Sgx.Enclave.size_pages in
   let epc_limit = Sim_os.Kernel.epc_limit proc in
-  (* Populate the whole initial image (zero pages); pages beyond the EPC
-     allowance land pre-sealed in the backing store. *)
+  (* Populate the whole initial image from one zero page: EADD copies
+     it into each resident frame, and pages beyond the EPC allowance
+     land in the backing store, deferred, sharing the store's zero
+     page. *)
+  let zero = Sgx.Page_data.create () in
   for i = 0 to enclave_pages - 1 do
     Sim_os.Kernel.add_initial_page os proc ~vpage:(enclave.base_vpage + i)
-      ~data:(Sgx.Page_data.create ()) ~perms:Sgx.Types.perms_rwx
+      ~data:zero ~perms:Sgx.Types.perms_rwx
   done;
   let runtime =
     if enclave.Sgx.Enclave.self_paging then begin

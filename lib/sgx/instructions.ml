@@ -56,7 +56,7 @@ let eadd m (enclave : Enclave.t) ~vpage ~data ~perms ~ptype =
   let frame = Epc.alloc m.epc in
   if frame < 0 then Types.sgx_errorf "EADD: EPC exhausted";
   Epc.bind m.epc ~frame ~enclave_id:enclave.id ~vpage ~perms ~ptype ~pending:false;
-  Epc.set_data m.epc frame data;
+  Epc.set_data m.epc frame (Page_data.copy data);
   Machine.charge m cm.eadd;
   incr (Machine.hot m).Machine.c_eadd;
   frame

@@ -36,7 +36,8 @@ val ecreate : Machine.t -> size_pages:int -> self_paging:bool -> Enclave.t
 val eadd :
   Machine.t -> Enclave.t -> vpage:Types.vpage -> data:Page_data.t ->
   perms:Types.perms -> ptype:Types.page_type -> Types.frame
-(** Populate an initial enclave page (pre-EINIT only). Raises
+(** Populate an initial enclave page (pre-EINIT only) with a copy of
+    [data], so the caller may reuse its buffer.  Raises
     {!Types.Sgx_error} on EPC exhaustion or if already initialized. *)
 
 val einit : Machine.t -> Enclave.t -> unit

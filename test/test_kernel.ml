@@ -535,8 +535,9 @@ let test_deferred_rows_match_reference () =
     checki (Printf.sprintf "stamp of page %d" i) (stamp i) (page_in_stamp m os proc i)
   done
 
-(* The store copies a deferred plaintext: pages added from one buffer
-   the caller rewrites between calls each keep what it held then. *)
+(* Boot copies every payload: pages added from one buffer the caller
+   rewrites between calls each keep what it held then, whether EADD
+   made them resident (0-15) or the store deferred them (16-47). *)
 let test_deferred_put_copies_buffer () =
   let buf = Page_data.create () in
   let m, os, proc =
@@ -544,6 +545,11 @@ let test_deferred_put_copies_buffer () =
         Page_data.fill_int buf (900 + i);
         buf)
   in
+  for i = 0 to 15 do
+    match Instructions.page_data m (Sim_os.Kernel.enclave proc) ~vpage:(vp proc i) with
+    | Some d -> checki (Printf.sprintf "stamp of resident page %d" i) (900 + i) (Page_data.read_int d)
+    | None -> Alcotest.failf "page %d not resident" i
+  done;
   for i = 16 to 47 do
     checki (Printf.sprintf "stamp of page %d" i) (900 + i) (page_in_stamp m os proc i)
   done
