@@ -756,23 +756,20 @@ let serve_cmd =
 
 let footprint_cmd =
   let doc =
-    "Print the memory ledger of a committed serve scenario in quick mode: \
-     host heap bytes in total and per tenant for each structure class \
-     (swap stores, Flat windows, workload tables, latency sketches, EPC \
-     payloads, EPCM, TLB, ORAM), blocks shared between owners, and the \
-     unattributed rest of the words reachable from the engine state, \
-     once after the fleet starts and once after the run."
+    "Print the memory ledger of the committed 100-tenant serve fleet in \
+     quick mode: host heap bytes in total and per tenant for each \
+     structure class (swap stores, Flat windows, workload tables, \
+     latency sketches, EPC payloads, EPCM, TLB, ORAM), blocks shared \
+     between owners, and the unattributed rest of the words reachable \
+     from the engine state, once after the fleet starts and once after \
+     the run."
   in
   let scenario_arg =
-    let doc = "$(b,fleet) (100 tenants) or $(b,default) (three tenants)." in
-    Arg.(
-      value
-      & opt (enum [ ("fleet", Serve.Driver.Fleet); ("default", Serve.Driver.Default) ])
-          Serve.Driver.Fleet
-      & info [ "scenario" ] ~doc ~docv:"NAME")
+    let doc = "The scenario to measure; only $(b,fleet) so far." in
+    Arg.(value & opt (enum [ ("fleet", ()) ]) () & info [ "scenario" ] ~doc ~docv:"NAME")
   in
-  let run scenario seed =
-    let at_start, at_end = Serve.Driver.footprint ~scenario ~seed in
+  let run () seed =
+    let at_start, at_end = Serve.Driver.footprint ~seed in
     Format.printf "%a%a@?"
       (Harness.Footprint.pp ~label:"after start")
       at_start

@@ -21,37 +21,26 @@ let class_name = function
   | Tlb -> "tlb"
   | Oram -> "oram tree+stash"
 
-let index = function
-  | Swap_stores -> 0
-  | Flat_windows -> 1
-  | Workload_tables -> 2
-  | Latency -> 3
-  | Epc_payloads -> 4
-  | Epcm -> 5
-  | Tlb -> 6
-  | Oram -> 7
-
 (* The blocks [once] has seen.  A list searched with [==]: physical
    identity survives the collector moving a block, which a hash of its
-   address would not, and only a few hundred blocks are shared. *)
+   address would not, and the 100-tenant fleet passes about a thousand
+   blocks through [once], most of them ORAM payloads. *)
 type t = {
-  by_class : int array;
+  by_class : (cls, int) Hashtbl.t;
   mutable shared : int;
   mutable seen : Obj.t list;
   mutable slots : int;
   mutable live : int;
 }
 
-let create () =
-  { by_class = Array.make (List.length classes) 0; shared = 0; seen = []; slots = 0; live = 0 }
+let create () = { by_class = Hashtbl.create 8; shared = 0; seen = []; slots = 0; live = 0 }
 
 let block x =
   let r = Obj.repr x in
   if Obj.is_int r then 0 else Obj.size r + 1
 
-let add t c w =
-  let i = index c in
-  t.by_class.(i) <- t.by_class.(i) + w
+let words t c = Option.value (Hashtbl.find_opt t.by_class c) ~default:0
+let add t c w = Hashtbl.replace t.by_class c (words t c + w)
 
 let add_block t c x = add t c (block x)
 
@@ -66,8 +55,6 @@ let add_slots t ~slots ~live =
   t.slots <- t.slots + slots;
   t.live <- t.live + live
 
-let words t c = t.by_class.(index c)
 let shared t = t.shared
-let attributed t = Array.fold_left ( + ) t.shared t.by_class
 let slots t = t.slots
 let live_slots t = t.live

@@ -15,7 +15,7 @@ type cls =
   | Swap_stores  (** sealed rows, deferred plaintexts, slot arrays *)
   | Flat_windows  (** every {!Sgx.Flat} window, wherever it sits *)
   | Workload_tables  (** workload indexes (uthash items, heads, ...) *)
-  | Latency  (** per-tenant latency sketches and sample stores *)
+  | Latency  (** per-tenant latency sketches *)
   | Epc_payloads  (** EPC frame contents *)
   | Epcm  (** EPCM entries, free stack and in-use bitset *)
   | Tlb
@@ -34,11 +34,8 @@ val block : 'a -> int
 (** Words of the one block [x] points to: header plus fields, so a
     zero-length array counts one word.  0 for an immediate. *)
 
-val add : t -> cls -> int -> unit
-(** Add words to a class. *)
-
 val add_block : t -> cls -> 'a -> unit
-(** [add t c (block x)]. *)
+(** Add [block x] words to class [c]. *)
 
 val once : t -> ?cls:cls -> 'a -> words:int -> unit
 (** Count [words] for [x] the first time [x] is seen (by [==]), into
@@ -50,9 +47,6 @@ val add_slots : t -> slots:int -> live:int -> unit
 val words : t -> cls -> int
 val shared : t -> int
 (** Words of the blocks counted by {!once} without a class. *)
-
-val attributed : t -> int
-(** Every class plus the shared line. *)
 
 val slots : t -> int
 val live_slots : t -> int

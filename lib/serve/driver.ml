@@ -381,14 +381,8 @@ let params ~seed ~no_arbiter =
     p_arbiter = (if no_arbiter then None else p.Engine.p_arbiter);
   }
 
-let fleet_tenants = 100
-
-let footprint ~scenario ~seed =
-  let cfgs =
-    match scenario with
-    | Default -> default_scenario ~quick:true
-    | Fleet -> fleet_scenario ~tenants:fleet_tenants ~quick:true
-  in
+let footprint ~seed =
+  let cfgs = fleet_scenario ~tenants:100 ~quick:true in
   let params = { (params ~seed ~no_arbiter:false) with Engine.p_sketch = true } in
   let st = Engine.start ~params cfgs in
   let at_start = Engine.footprint st in
