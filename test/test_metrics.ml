@@ -613,27 +613,29 @@ let qcheck_cases =
     ]
 
 (* Streams of small exact values, values up to 2^61 and runs of
-   duplicates (possibly none), split over up to four shards. *)
+   duplicates (possibly none), each run sent to a random one of up to
+   four shards. *)
 let dense_model_case =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"sketch agrees with the dense model" ~count:200
        QCheck2.Gen.(
          pair
            (list_size (int_range 0 200)
-              (pair
+              (triple
                  (oneof
                     [ int_range 0 63; int_range 64 1_000_000; int_range 0 (1 lsl 61) ])
-                 (int_range 1 4)))
+                 (int_range 1 4) (int_range 0 3)))
            (int_range 1 4))
        (fun (runs, shards) ->
-         let vs = List.concat_map (fun (v, k) -> List.init k (fun _ -> v)) runs in
          let sks = Array.init shards (fun _ -> Metrics.Sketch.create ()) in
          let ds = Array.init shards (fun _ -> Dense.create ()) in
-         List.iteri
-           (fun i v ->
-             Metrics.Sketch.add_int sks.(i mod shards) v;
-             Dense.add_int ds.(i mod shards) v)
-           vs;
+         List.iter
+           (fun (v, k, s) ->
+             for _ = 1 to k do
+               Metrics.Sketch.add_int sks.(s mod shards) v;
+               Dense.add_int ds.(s mod shards) v
+             done)
+           runs;
          Array.for_all2 agrees_with_dense sks ds
          && agrees_with_dense
               (Metrics.Sketch.merged (Array.to_list sks))
