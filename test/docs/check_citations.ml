@@ -52,7 +52,7 @@ let rec chained s i acc =
       | None -> None
     else None
   in
-  match List.find_map try_sep [ " and "; ", and "; ", "; " or " ] with
+  match List.find_map try_sep [ " and "; ", and "; ", " ] with
   | Some r -> r
   | None -> acc
 
