@@ -757,26 +757,25 @@ let serve_cmd =
 let footprint_cmd =
   let doc =
     "Print the memory ledger of the committed 100-tenant serve fleet in \
-     quick mode: host heap bytes in total and per tenant for each \
-     structure class (swap stores, Flat windows, workload tables, \
-     latency sketches, EPC payloads, EPCM, TLB, ORAM), blocks shared \
-     between owners, and the unattributed rest of the words reachable \
-     from the engine state, once after the fleet starts and once after \
-     the run."
+     quick mode at seed 1: host heap bytes in total and per tenant for \
+     each structure class (swap stores, Flat windows, workload tables, \
+     latency sketches, EPC payloads, EPCM, TLB, ORAM) and the \
+     unattributed rest of the words reachable from the engine state, \
+     once after the fleet starts and once after the run."
   in
   let scenario_arg =
     let doc = "The scenario to measure; only $(b,fleet) so far." in
     Arg.(value & opt (enum [ ("fleet", ()) ]) () & info [ "scenario" ] ~doc ~docv:"NAME")
   in
-  let run () seed =
-    let at_start, at_end = Serve.Driver.footprint ~seed in
+  let run () =
+    let at_start, at_end = Serve.Driver.footprint () in
     Format.printf "%a%a@?"
       (Harness.Footprint.pp ~label:"after start")
       at_start
       (Harness.Footprint.pp ~label:"after run")
       at_end
   in
-  Cmd.v (Cmd.info "footprint" ~doc) Term.(const run $ scenario_arg $ seed_arg)
+  Cmd.v (Cmd.info "footprint" ~doc) Term.(const run $ scenario_arg)
 
 (* --- bench-validate -------------------------------------------------------- *)
 

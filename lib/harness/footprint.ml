@@ -3,7 +3,6 @@ module W = Metrics.Words
 type t = {
   tenants : int;
   by_class : (W.cls * int) list;
-  shared : int;
   reachable : int;
   slots : int;
   live_slots : int;
@@ -16,7 +15,6 @@ let measure ~root ~tenants walk =
   {
     tenants;
     by_class = List.map (fun c -> (c, W.words acc c)) W.classes;
-    shared = W.shared acc;
     reachable = Obj.reachable_words (Obj.repr root);
     slots = W.slots acc;
     live_slots = W.live_slots acc;
@@ -25,7 +23,7 @@ let measure ~root ~tenants walk =
 let words t c = List.assoc c t.by_class
 
 let unattributed t =
-  List.fold_left (fun rest (_, w) -> rest - w) (t.reachable - t.shared) t.by_class
+  List.fold_left (fun rest (_, w) -> rest - w) t.reachable t.by_class
 
 let pp ~label ppf t =
   let bytes w = w * (Sys.word_size / 8) in
@@ -37,7 +35,6 @@ let pp ~label ppf t =
   Format.fprintf ppf "footprint %s (%d tenants)@\n" label t.tenants;
   Format.fprintf ppf "  %-18s %12s %8s %12s@\n" "class" "bytes" "MB" "B/tenant";
   List.iter (fun (c, w) -> row (W.class_name c) w) t.by_class;
-  row "shared" t.shared;
   row "unattributed" (unattributed t);
   row "reachable total" t.reachable;
   Format.fprintf ppf "  flat window slots %d, %d bound (%.1f%%)@\n" t.slots t.live_slots

@@ -15,7 +15,6 @@
 type t = {
   tenants : int;  (** the divisor of the per-tenant column *)
   by_class : (Metrics.Words.cls * int) list;  (** words, in report order *)
-  shared : int;  (** words of blocks counted once without a class *)
   reachable : int;  (** [Obj.reachable_words] of the root *)
   slots : int;  (** {!Sgx.Flat} window slots *)
   live_slots : int;  (** of which bound *)
@@ -29,9 +28,9 @@ val measure : root:'a -> tenants:int -> (Metrics.Words.t -> unit) -> t
 val words : t -> Metrics.Words.cls -> int
 
 val unattributed : t -> int
-(** [reachable] minus every class and the shared line. *)
+(** [reachable] minus every class. *)
 
 val pp : label:string -> Format.formatter -> t -> unit
 (** One table: bytes in total, MB and bytes per tenant for each class,
-    the shared line, the unattributed rest and the reachable total,
-    then the windows' occupancy. *)
+    the unattributed rest and the reachable total, then the windows'
+    occupancy. *)

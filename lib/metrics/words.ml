@@ -21,19 +21,18 @@ let class_name = function
   | Tlb -> "tlb"
   | Oram -> "oram tree+stash"
 
-(* The blocks [once] has seen.  A list searched with [==]: physical
-   identity survives the collector moving a block, which a hash of its
-   address would not, and the 100-tenant fleet passes about a thousand
-   blocks through [once], most of them ORAM payloads. *)
+(* The blocks [once] has seen, searched with [==]: physical identity
+   survives the collector moving a block, which a hash of its address
+   would not.  Only the few blocks that several owners share pass
+   through [once], so a list is enough. *)
 type t = {
   by_class : (cls, int) Hashtbl.t;
-  mutable shared : int;
   mutable seen : Obj.t list;
   mutable slots : int;
   mutable live : int;
 }
 
-let create () = { by_class = Hashtbl.create 8; shared = 0; seen = []; slots = 0; live = 0 }
+let create () = { by_class = Hashtbl.create 8; seen = []; slots = 0; live = 0 }
 
 let block x =
   let r = Obj.repr x in
@@ -44,17 +43,16 @@ let add t c w = Hashtbl.replace t.by_class c (words t c + w)
 
 let add_block t c x = add t c (block x)
 
-let once t ?cls x ~words =
+let once t ~cls x ~words =
   let r = Obj.repr x in
   if not (List.memq r t.seen) then begin
     t.seen <- r :: t.seen;
-    match cls with Some c -> add t c words | None -> t.shared <- t.shared + words
+    add t cls words
   end
 
 let add_slots t ~slots ~live =
   t.slots <- t.slots + slots;
   t.live <- t.live + live
 
-let shared t = t.shared
 let slots t = t.slots
 let live_slots t = t.live

@@ -12,7 +12,7 @@
     block is counted twice. *)
 
 type cls =
-  | Swap_stores  (** sealed rows, deferred plaintexts, slot arrays *)
+  | Swap_stores  (** sealed rows, deferred plaintexts, slot arrays, sealer *)
   | Flat_windows  (** every {!Sgx.Flat} window, wherever it sits *)
   | Workload_tables  (** workload indexes (uthash items, heads, ...) *)
   | Latency  (** per-tenant latency sketches *)
@@ -37,16 +37,14 @@ val block : 'a -> int
 val add_block : t -> cls -> 'a -> unit
 (** Add [block x] words to class [c]. *)
 
-val once : t -> ?cls:cls -> 'a -> words:int -> unit
-(** Count [words] for [x] the first time [x] is seen (by [==]), into
-    [cls], or into the shared line when [cls] is omitted. *)
+val once : t -> cls:cls -> 'a -> words:int -> unit
+(** Count [words] for [x] into [cls] the first time [x] is seen (by
+    [==]). *)
 
 val add_slots : t -> slots:int -> live:int -> unit
 (** Record a {!Sgx.Flat} window's slots and the ones holding a value. *)
 
 val words : t -> cls -> int
-val shared : t -> int
-(** Words of the blocks counted by {!once} without a class. *)
 
 val slots : t -> int
 val live_slots : t -> int

@@ -19,6 +19,7 @@ type t = {
   tree : int array;
   posmap : int array;
   payload : Sgx.Page_data.t array;
+  zero : Sgx.Page_data.t;  (* the page every unread block shares *)
   (* Stash: entries [0, st_n) of [stash] are live; [in_stash.(blk)] is
      the entry index or -1. *)
   mutable stash : int array;
@@ -43,6 +44,7 @@ let create ~clock ~rng ?(z = 4) ?(metadata = `Direct) ~n_blocks () =
   in
   let bucket_count = (2 * leaves) - 1 in
   let posmap = Array.init n_blocks (fun _ -> Metrics.Rng.int rng leaves) in
+  let zero = Sgx.Page_data.create () in
   {
     clock;
     rng;
@@ -54,7 +56,8 @@ let create ~clock ~rng ?(z = 4) ?(metadata = `Direct) ~n_blocks () =
     tree = Array.make (bucket_count * z) (-1);
     posmap;
     (* Unread until a block's first access replaces its entry. *)
-    payload = Array.make n_blocks (Sgx.Page_data.create ());
+    payload = Array.make n_blocks zero;
+    zero;
     stash = Array.make 256 (-1);
     st_n = 0;
     in_stash = Array.make n_blocks (-1);
@@ -64,13 +67,13 @@ let create ~clock ~rng ?(z = 4) ?(metadata = `Direct) ~n_blocks () =
     c_access = Metrics.Counters.cell (Metrics.Clock.counters clock) "oram.access";
   }
 
-(* Unread blocks share one zero page, so payloads count by identity. *)
+(* Unread blocks share [t.zero]; every block read once owns its page. *)
 let footprint t acc =
   let module W = Metrics.Words in
   List.iter (W.add_block acc W.Oram)
     [ Obj.repr t; Obj.repr t.tree; Obj.repr t.posmap; Obj.repr t.payload;
-      Obj.repr t.stash; Obj.repr t.in_stash ];
-  Array.iter (fun p -> W.once acc ~cls:W.Oram p ~words:(W.block p)) t.payload
+      Obj.repr t.stash; Obj.repr t.in_stash; Obj.repr t.zero ];
+  Array.iter (fun p -> if p != t.zero then W.add_block acc W.Oram p) t.payload
 
 let n_blocks t = t.n_blocks
 let levels t = t.levels

@@ -155,7 +155,7 @@ let iter_versions f t =
 let replace_raw = put
 
 (* Vacant slots share [vacant] and all-zero deferred entries [t.zero];
-   the sealer is the machine's. *)
+   the sealer is the machine's, which {!Sgx.Machine.footprint} counts. *)
 let footprint t acc =
   let module W = Metrics.Words in
   List.iter (W.add_block acc W.Swap_stores)
@@ -165,5 +165,4 @@ let footprint t acc =
     (fun r ->
       if r == vacant || r == t.zero then W.once acc ~cls:W.Swap_stores r ~words:(W.block r)
       else W.add_block acc W.Swap_stores r)
-    t.rows;
-  W.once acc t.sealer ~words:(Obj.reachable_words (Obj.repr t.sealer))
+    t.rows

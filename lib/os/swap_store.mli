@@ -86,5 +86,5 @@ val delete : t -> Sgx.Types.vpage -> unit
 
 val footprint : t -> Metrics.Words.t -> unit
 (** Count the store's rows and slot arrays as [Swap_stores] (a zero page
-    its deferred entries share, once), its index as [Flat_windows], and
-    the machine's sealer once as a shared block. *)
+    its deferred entries share, once) and its index as [Flat_windows].
+    The sealer is the machine's ({!Sgx.Machine.footprint}). *)

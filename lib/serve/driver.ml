@@ -381,9 +381,10 @@ let params ~seed ~no_arbiter =
     p_arbiter = (if no_arbiter then None else p.Engine.p_arbiter);
   }
 
-let footprint ~seed =
+(* Seed 1: the committed quick fleet gives every seed the same ledger. *)
+let footprint () =
   let cfgs = fleet_scenario ~tenants:100 ~quick:true in
-  let params = { (params ~seed ~no_arbiter:false) with Engine.p_sketch = true } in
+  let params = { (params ~seed:1 ~no_arbiter:false) with Engine.p_sketch = true } in
   let st = Engine.start ~params cfgs in
   let at_start = Engine.footprint st in
   while Engine.step st do

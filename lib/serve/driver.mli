@@ -115,10 +115,10 @@ val run :
     JSON to [out] when given.
     @raise Invalid_argument when [members <= 0]. *)
 
-val footprint : seed:int -> Harness.Footprint.t * Harness.Footprint.t
+val footprint : unit -> Harness.Footprint.t * Harness.Footprint.t
 (** The memory ledger of one member of the committed 100-tenant
-    {!fleet_scenario} in quick mode, with the parameters of {!run}:
-    once after {!Engine.start}, once after the run. *)
+    {!fleet_scenario} in quick mode at seed 1, with the parameters of
+    {!run}: once after {!Engine.start}, once after the run. *)
 
 val check : baseline:string -> ?tolerance:float -> ?jobs:int -> unit -> bool
 (** The serve regression gate ([autarky_sim serve --check]): validate

@@ -119,12 +119,14 @@ let create ?(model = Metrics.Cost_model.default) ?(mode = Full_exits) ~epc_frame
     branch_cursor = 0;
   }
 
-(* The sealer is shared with every swap store on the machine. *)
+(* Every swap store on the machine holds the sealer; it counts here,
+   once, in their class. *)
 let footprint t acc =
   Epc.footprint t.epc acc;
   Tlb.footprint t.tlb acc;
   Flat.footprint t.va_slots acc;
-  Metrics.Words.once acc t.sealer ~words:(Obj.reachable_words (Obj.repr t.sealer))
+  Metrics.Words.once acc ~cls:Metrics.Words.Swap_stores t.sealer
+    ~words:(Obj.reachable_words (Obj.repr t.sealer))
 
 let model t = Metrics.Clock.model t.clock
 let charge t n = Metrics.Clock.charge t.clock n

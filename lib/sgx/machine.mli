@@ -97,8 +97,8 @@ val create :
   unit -> t
 
 val footprint : t -> Metrics.Words.t -> unit
-(** Count the EPC ({!Epc.footprint}), the TLB and the VA-slot window,
-    and the sealer once as a shared block. *)
+(** Count the EPC ({!Epc.footprint}), the TLB, the VA-slot window and,
+    in the swap-store class, the sealer that every swap store holds. *)
 
 val model : t -> Metrics.Cost_model.t
 val charge : t -> int -> unit

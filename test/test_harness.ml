@@ -320,6 +320,57 @@ let test_swap_store_bytes_per_page () =
   checkb (Printf.sprintf "%.1f B per swapped page <= 56" per_page) true
     (per_page <= 56.)
 
+(* --- Memory ledger -------------------------------------------------- *)
+
+(* A structure whose blocks no other owner reaches: the ledger's count
+   of it equals the words reachable from it, so a block counted twice
+   inside it fails here however small it is.  The fleet-wide check
+   ("footprint reconciles with reachable words", [test serve]) only
+   catches a double count larger than the unattributed rest. *)
+let ledger_words footprint x =
+  let acc = Metrics.Words.create () in
+  footprint x acc;
+  List.fold_left (fun n c -> n + Metrics.Words.words acc c) 0 Metrics.Words.classes
+
+let reach x = Obj.reachable_words (Obj.repr x)
+
+let test_ledger_counts_owned_structures_exactly () =
+  let sys = fleet_tenant () in
+  let machine = Harness.System.machine sys in
+  let swap = tenant_swap sys in
+  (* Seal a few deferred boot pages, so the store holds sealed rows,
+     the shared zero page and vacant slots. *)
+  let enclave = Harness.System.enclave sys in
+  let sealed = ref 0 in
+  for i = 0 to enclave.Sgx.Enclave.size_pages - 1 do
+    let vp = enclave.Sgx.Enclave.base_vpage + i in
+    if !sealed < 5 && Sim_os.Swap_store.mem swap vp then begin
+      ignore (Sim_os.Swap_store.slot swap vp);
+      incr sealed
+    end
+  done;
+  checki "rows sealed" 5 !sealed;
+  checki "swap store, its sealer aside"
+    (reach swap - reach machine.Sgx.Machine.sealer)
+    (ledger_words Sim_os.Swap_store.footprint swap);
+  checki "epc" (reach machine.Sgx.Machine.epc) (ledger_words Sgx.Epc.footprint machine.Sgx.Machine.epc);
+  checki "tlb" (reach machine.Sgx.Machine.tlb) (ledger_words Sgx.Tlb.footprint machine.Sgx.Machine.tlb);
+  let flat = Sgx.Flat.create () in
+  for k = 300 downto 100 do
+    if k mod 3 <> 0 then Sgx.Flat.set flat k k
+  done;
+  checki "flat window" (reach flat) (ledger_words Sgx.Flat.footprint flat);
+  let clock = Metrics.Clock.create Metrics.Cost_model.default in
+  let rng = Metrics.Rng.create ~seed:5L in
+  let oram = Oram.Path_oram.create ~clock ~rng ~n_blocks:64 () in
+  for b = 0 to 19 do
+    Oram.Path_oram.write oram ~block:(b * 3) (Sgx.Page_data.create ())
+  done;
+  (* The pair's block is three words. *)
+  checki "oram, its clock and rng aside"
+    (reach oram - (reach (clock, rng) - 3))
+    (ledger_words Oram.Path_oram.footprint oram)
+
 let suite =
   [
     ("reserve carving", `Quick, test_reserve_carving);
@@ -346,4 +397,6 @@ let suite =
     ("tenant footprint stays small", `Quick, test_tenant_footprint);
     ("a stored page is one small row", `Quick, test_stored_page_words);
     ("swap store bytes per swapped page", `Quick, test_swap_store_bytes_per_page);
+    ("ledger counts owned structures exactly", `Quick,
+     test_ledger_counts_owned_structures_exactly);
   ]

@@ -574,7 +574,7 @@ let test_check_gate_rejects_malformed () =
 
 (* --- memory ledger ------------------------------------------------------- *)
 
-let ledger = lazy (Serve.Driver.footprint ~seed:1)
+let ledger = lazy (Serve.Driver.footprint ())
 
 (* Words per tenant of each class after the committed quick fleet's
    run, each held within about 5% of the value measured when the bound
@@ -600,8 +600,7 @@ let test_footprint_reconciles () =
   List.iter
     (fun (label, fp) ->
       let attributed =
-        fp.Harness.Footprint.shared
-        + List.fold_left (fun a (_, w) -> a + w) 0 fp.Harness.Footprint.by_class
+        List.fold_left (fun a (_, w) -> a + w) 0 fp.Harness.Footprint.by_class
       in
       if attributed > fp.Harness.Footprint.reachable then
         Alcotest.failf "%s: %d words attributed, %d reachable" label attributed
@@ -614,7 +613,7 @@ let test_footprint_deterministic () =
       (Harness.Footprint.pp ~label:"run") b
   in
   checks "same report" (show (Lazy.force ledger))
-    (show (Serve.Driver.footprint ~seed:1))
+    (show (Serve.Driver.footprint ()))
 
 let suite =
   [
