@@ -11,31 +11,39 @@
       (dirtiness-oblivious) ORAM cache eviction. *)
 
 let page = Exp_common.page
+let rl_pages = 512
+
+(* The paging-heavy platform the batch, victim-policy and host-call
+   sweeps share: rate-limited paging under a 256-page budget over a
+   512-page managed region past the resident prefix, read at the pages
+   [next] draws from a [seed]ed RNG. *)
+let rl_reads ?model ?evict_batch ?eviction ~seed ~ops next =
+  let sys =
+    Harness.System.create ?model ~epc_frames:1_024 ~epc_limit:512
+      ~enclave_pages:4_096 ~self_paging:true ~budget:256 ()
+  in
+  let rt = Harness.System.runtime_exn sys in
+  let rl = Autarky.Policy_rate_limit.create ~runtime:rt ?evict_batch ?eviction () in
+  Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
+  let _burn = Harness.System.reserve sys ~pages:512 in
+  let b = Harness.System.reserve sys ~pages:rl_pages in
+  Harness.System.manage sys (List.init rl_pages (fun i -> b + i));
+  let vm = Harness.System.vm sys () in
+  let rng = Metrics.Rng.create ~seed in
+  Harness.Measure.run sys (fun () ->
+      for _ = 1 to ops do
+        vm.Workloads.Vm.read ((b + next rng) * page)
+      done)
 
 (* --- 1. eviction batch size ------------------------------------------- *)
 
 let batch_sweep () =
   Harness.Report.subheading "eviction batch size (rate-limited paging)";
   let run batch =
-    let sys =
-      Harness.System.create ~epc_frames:1_024 ~epc_limit:512 ~enclave_pages:4_096
-        ~self_paging:true ~budget:256 ()
-    in
-    let rt = Harness.System.runtime_exn sys in
-    let rl = Autarky.Policy_rate_limit.create ~runtime:rt ~evict_batch:batch () in
-    Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-    let _burn = Harness.System.reserve sys ~pages:512 in
-    let n = 512 in
-    let b = Harness.System.reserve sys ~pages:n in
-    Harness.System.manage sys (List.init n (fun i -> b + i));
-    let vm = Harness.System.vm sys () in
-    let rng = Metrics.Rng.create ~seed:7L in
     let ops = 20_000 in
     let r =
-      Harness.Measure.run sys (fun () ->
-          for _ = 1 to ops do
-            vm.Workloads.Vm.read ((b + Metrics.Rng.int rng n) * page)
-          done)
+      rl_reads ~evict_batch:batch ~seed:7L ~ops (fun rng ->
+          Metrics.Rng.int rng rl_pages)
     in
     (batch, float_of_int r.Harness.Measure.cycles /. float_of_int ops,
      r.Harness.Measure.page_faults)
@@ -58,28 +66,11 @@ let eviction_policy_sweep () =
   Harness.Report.subheading
     "victim policy without accessed bits: FIFO vs fault-frequency (§5.1.4)";
   let run eviction skew =
-    let sys =
-      Harness.System.create ~epc_frames:1_024 ~epc_limit:512 ~enclave_pages:4_096
-        ~self_paging:true ~budget:256 ()
+    let dist =
+      Metrics.Dist.hotspot ~n:rl_pages ~hot_fraction:0.1 ~hot_probability:skew
     in
-    let rt = Harness.System.runtime_exn sys in
-    let rl = Autarky.Policy_rate_limit.create ~runtime:rt ~eviction () in
-    Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-    let _burn = Harness.System.reserve sys ~pages:512 in
-    let n = 512 in
-    let b = Harness.System.reserve sys ~pages:n in
-    Harness.System.manage sys (List.init n (fun i -> b + i));
-    let vm = Harness.System.vm sys () in
-    let rng = Metrics.Rng.create ~seed:9L in
-    let dist = Metrics.Dist.hotspot ~n ~hot_fraction:0.1 ~hot_probability:skew in
-    let ops = 20_000 in
-    let r =
-      Harness.Measure.run sys (fun () ->
-          for _ = 1 to ops do
-            vm.Workloads.Vm.read ((b + Metrics.Dist.sample dist rng) * page)
-          done)
-    in
-    r.Harness.Measure.page_faults
+    (rl_reads ~eviction ~seed:9L ~ops:20_000 (Metrics.Dist.sample dist))
+      .Harness.Measure.page_faults
   in
   let rows =
     Par.map
@@ -102,18 +93,20 @@ let oram_cache_sweep () =
   let data_pages = 2_048 in
   let run cache_pages =
     let b =
-      Exp_common.build ~scheme:Exp_common.Oram_cached ~epc_frames:4_096
-        ~epc_limit:3_072 ~enclave_pages:16_384 ~heap_pages:data_pages
-        ~budget:2_900 ~oram_cache_pages:cache_pages ()
+      Harness.Builder.create
+        (Harness.Builder.spec ~oram_seed:Exp_common.oram_seed
+           ~oram_cache_pages:cache_pages ~epc_frames:4_096 ~epc_limit:3_072
+           ~enclave_pages:16_384 ~heap_pages:data_pages ~budget:2_900
+           Harness.Builder.Oram)
     in
-    b.Exp_common.finish ();
+    b.finish ();
     let rng = Metrics.Rng.create ~seed:8L in
     let ops = 5_000 in
     let r =
-      Harness.Measure.run b.Exp_common.sys (fun () ->
+      Harness.Measure.run b.sys (fun () ->
           for _ = 1 to ops do
-            b.Exp_common.vm.Workloads.Vm.read
-              ((Autarky.Allocator.base_vpage b.Exp_common.heap
+            b.vm.Workloads.Vm.read
+              ((Autarky.Allocator.base_vpage b.heap
                + Metrics.Rng.int rng data_pages)
               * page)
           done)
@@ -248,25 +241,10 @@ let hostcall_sweep () =
   Harness.Report.subheading
     "ay_* host calls: exitless (Eleos/HotCalls) vs trap-based ocalls";
   let run model =
-    let sys =
-      Harness.System.create ~model ~epc_frames:1_024 ~epc_limit:512
-        ~enclave_pages:4_096 ~self_paging:true ~budget:256 ()
-    in
-    let rt = Harness.System.runtime_exn sys in
-    let rl = Autarky.Policy_rate_limit.create ~runtime:rt ~evict_batch:1 () in
-    Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-    let _burn = Harness.System.reserve sys ~pages:512 in
-    let n = 512 in
-    let b = Harness.System.reserve sys ~pages:n in
-    Harness.System.manage sys (List.init n (fun i -> b + i));
-    let vm = Harness.System.vm sys () in
-    let rng = Metrics.Rng.create ~seed:12L in
     let ops = 10_000 in
     let r =
-      Harness.Measure.run sys (fun () ->
-          for _ = 1 to ops do
-            vm.Workloads.Vm.read ((b + Metrics.Rng.int rng n) * page)
-          done)
+      rl_reads ~model ~evict_batch:1 ~seed:12L ~ops (fun rng ->
+          Metrics.Rng.int rng rl_pages)
     in
     float_of_int r.Harness.Measure.cycles /. float_of_int ops
   in

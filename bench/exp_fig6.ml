@@ -20,50 +20,45 @@ let uncached_tree_blocks = 262_144 (* the full 1 GB range *)
 let warmup = 300
 let requests = 2_000
 
-let measure_requests (b : Exp_common.built) table =
+let measure_requests (b : Harness.Builder.t) table =
   let rng = Metrics.Rng.create ~seed:404L in
   for _ = 1 to warmup do
     ignore (Workloads.Uthash.find table ~key:(Metrics.Rng.int rng n_items))
   done;
   let r =
-    Harness.Measure.run b.Exp_common.sys (fun () ->
+    Harness.Measure.run b.sys (fun () ->
         for _ = 1 to requests do
           ignore (Workloads.Uthash.find table ~key:(Metrics.Rng.int rng n_items))
         done)
   in
   Harness.Measure.throughput r ~ops:requests
 
-let run_cluster_config cluster_size =
+(* A uthash table at the figure's geometry, built on the scheme's
+   platform and the policy installed. *)
+let build_table ?cluster_pages policy =
   let b =
-    Exp_common.build ~scheme:(Exp_common.Clusters cluster_size)
-      ~epc_frames:(epc_limit + 512) ~epc_limit ~enclave_pages:16_384
-      ~heap_pages ~budget:(epc_limit - 200) ()
+    Harness.Builder.create
+      (Harness.Builder.spec ~oram_seed:Exp_common.oram_seed ?cluster_pages
+         ~oram_cache_pages:oram_cache ~epc_frames:(epc_limit + 512) ~epc_limit
+         ~enclave_pages:16_384 ~heap_pages ~budget:(epc_limit - 200) policy)
   in
   let rng = Metrics.Rng.create ~seed:42L in
-  let alloc ~bytes = Autarky.Allocator.alloc b.Exp_common.heap ~bytes in
+  let alloc ~bytes = Autarky.Allocator.alloc b.heap ~bytes in
   let table =
-    Workloads.Uthash.create ~vm:b.Exp_common.vm ~alloc ~rng ~n_items ~item_bytes
-      ~target_chain
+    Workloads.Uthash.create ~vm:b.vm ~alloc ~rng ~n_items ~item_bytes ~target_chain
   in
-  b.Exp_common.finish ();
+  b.finish ();
+  (b, table)
+
+let run_cluster_config cluster_size =
+  let b, table = build_table ~cluster_pages:cluster_size Harness.Builder.Clusters in
   let before = measure_requests b table in
   Workloads.Uthash.rehash table;
   let after = measure_requests b table in
   (before, after)
 
 let run_oram_cached () =
-  let b =
-    Exp_common.build ~scheme:Exp_common.Oram_cached ~epc_frames:(epc_limit + 512)
-      ~epc_limit ~enclave_pages:16_384 ~heap_pages
-      ~budget:(epc_limit - 200) ~oram_cache_pages:oram_cache ()
-  in
-  let rng = Metrics.Rng.create ~seed:42L in
-  let alloc ~bytes = Autarky.Allocator.alloc b.Exp_common.heap ~bytes in
-  let table =
-    Workloads.Uthash.create ~vm:b.Exp_common.vm ~alloc ~rng ~n_items ~item_bytes
-      ~target_chain
-  in
-  b.Exp_common.finish ();
+  let b, table = build_table Harness.Builder.Oram in
   measure_requests b table
 
 (* The no-Autarky baseline: CoSMIX-style instrumentation with oblivious

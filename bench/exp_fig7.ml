@@ -13,13 +13,8 @@ let rate_limit = 400 (* faults per progress unit; tuned to avoid false positives
 let run_app ?mode (spec : Workloads.Kernels.spec) ~self_paging () =
   let enclave_pages = spec.ws_pages + 256 in
   let sys =
-    match mode with
-    | Some mode ->
-      Harness.System.create ~mode ~epc_frames:(epc_limit + 1_024) ~epc_limit
-        ~enclave_pages ~self_paging ~budget:(epc_limit - 256) ()
-    | None ->
-      Harness.System.create ~epc_frames:(epc_limit + 1_024) ~epc_limit
-        ~enclave_pages ~self_paging ~budget:(epc_limit - 256) ()
+    Harness.System.create ?mode ~epc_frames:(epc_limit + 1_024) ~epc_limit
+      ~enclave_pages ~self_paging ~budget:(epc_limit - 256) ()
   in
   let base = Harness.System.reserve sys ~pages:spec.ws_pages in
   let progress_hook = ref (fun () -> ()) in

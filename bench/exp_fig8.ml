@@ -22,26 +22,28 @@ let distributions =
     ("hotspot(0.99)", fun () ->
        Metrics.Dist.hotspot ~n:n_entries ~hot_fraction:0.01 ~hot_probability:0.99) ]
 
+(* Clusters are the builder's 10 pages. *)
 let schemes =
-  [ Exp_common.Baseline; Exp_common.Rate_limit; Exp_common.Clusters 10;
-    Exp_common.Oram_cached ]
+  List.map
+    (fun policy ->
+      Harness.Builder.spec ~oram_seed:Exp_common.oram_seed
+        ~oram_cache_pages:oram_cache ~rate_limit:64 ~epc_frames:(epc_limit + 1_024)
+        ~epc_limit ~enclave_pages:32_768 ~heap_pages ~budget:(epc_limit - 256)
+        policy)
+    Harness.Builder.[ Baseline; Rate_limit; Clusters; Oram ]
 
 let build_store scheme =
-  let b =
-    Exp_common.build ~scheme ~epc_frames:(epc_limit + 1_024) ~epc_limit
-      ~enclave_pages:32_768 ~heap_pages ~budget:(epc_limit - 256)
-      ~oram_cache_pages:oram_cache ~rate_limit:64 ()
-  in
+  let b = Harness.Builder.create scheme in
   let rng = Metrics.Rng.create ~seed:88L in
-  let alloc ~bytes = Autarky.Allocator.alloc b.Exp_common.heap ~bytes in
+  let alloc ~bytes = Autarky.Allocator.alloc b.heap ~bytes in
   let kv =
-    Workloads.Kvstore.create ~vm:b.Exp_common.vm ~alloc ~rng ~n_entries
-      ~value_bytes ~slab_pages:10 ()
+    Workloads.Kvstore.create ~vm:b.vm ~alloc ~rng ~n_entries ~value_bytes
+      ~slab_pages:10 ()
   in
-  b.Exp_common.finish ();
+  b.finish ();
   (b, kv)
 
-let measure (b : Exp_common.built) kv dist =
+let measure (b : Harness.Builder.t) kv dist =
   let rng = Metrics.Rng.create ~seed:77L in
   let gen = Workloads.Ycsb.workload_c ~dist ~rng in
   let serve () =
@@ -53,7 +55,7 @@ let measure (b : Exp_common.built) kv dist =
     serve ()
   done;
   let r =
-    Harness.Measure.run b.Exp_common.sys (fun () ->
+    Harness.Measure.run b.sys (fun () ->
         for _ = 1 to requests do
           serve ()
         done)

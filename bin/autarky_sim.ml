@@ -7,10 +7,15 @@
      autarky_sim kernels                    list the Fig. 7 applications
 
    Examples:
-     autarky_sim run --workload kvstore --scheme clusters --cluster-pages 10
+     autarky_sim run --workload ycsb --scheme clusters --cluster-pages 10
      autarky_sim run --workload kernel:canneal --scheme rate-limit
-     autarky_sim trace --workload kvstore --scheme clusters --out t.jsonl --digest
-     autarky_sim attack --workload jpeg --autarky
+     autarky_sim trace --workload ycsb --scheme clusters --out t.jsonl --digest
+     autarky_sim attack --autarky
+
+   [run] and [trace] build their world with Harness.Builder, the perf
+   matrix's builder: [ycsb] is YCSB-C GETs over a scrambled Zipfian,
+   [kvstore] uniform GETs on the same store.  An unknown workload or
+   scheme, or a size below one, is a one-line usage error (exit 124).
 *)
 
 open Cmdliner
@@ -47,28 +52,56 @@ let costs_cmd =
 
 (* --- shared options ---------------------------------------------------- *)
 
+(* Sizes that must be at least one: a non-positive value is a usage
+   error (exit 124), not an uncaught exception. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* A name from the builder's table, parsed once into its type. *)
+let name_conv ~what ~want of_name to_name =
+  let parse s =
+    Option.to_result (of_name s)
+      ~none:(`Msg (Printf.sprintf "unknown %s %S (want %s)" what s want))
+  in
+  Arg.conv (parse, fun ppf x -> Format.pp_print_string ppf (to_name x))
+
 let workload_arg =
   let doc =
-    "Workload: uthash, kvstore, spellcheck, jpeg, fontrender, or \
-     kernel:NAME (e.g. kernel:canneal)."
+    "Workload: ycsb (YCSB-C GETs over a scrambled Zipfian), kvstore \
+     (uniform GETs), uthash, spellcheck, jpeg, fontrender, or kernel:NAME \
+     (e.g. kernel:canneal; $(b,kernels) lists them)."
   in
-  Arg.(value & opt string "kvstore" & info [ "w"; "workload" ] ~doc)
+  let workload =
+    name_conv ~what:"workload"
+      ~want:"ycsb, kvstore, uthash, spellcheck, jpeg, fontrender or kernel:NAME"
+      Harness.Builder.workload_of_name Harness.Builder.workload_name
+  in
+  Arg.(value & opt workload Harness.Builder.Ycsb & info [ "w"; "workload" ] ~doc)
 
 let scheme_arg =
   let doc = "Scheme: baseline, rate-limit, clusters, oram." in
-  Arg.(value & opt string "rate-limit" & info [ "s"; "scheme" ] ~doc)
+  let scheme =
+    name_conv ~what:"scheme" ~want:"baseline, rate-limit, clusters or oram"
+      Harness.Builder.policy_of_name Harness.Builder.policy_name
+  in
+  Arg.(value & opt scheme Harness.Builder.Rate_limit & info [ "s"; "scheme" ] ~doc)
 
 let cluster_pages_arg =
   let doc = "Pages per cluster (clusters scheme)." in
-  Arg.(value & opt int 10 & info [ "cluster-pages" ] ~doc)
+  Arg.(value & opt pos_int 10 & info [ "cluster-pages" ] ~doc)
 
 let epc_mb_arg =
   let doc = "EPC allowance for the enclave, in MiB." in
-  Arg.(value & opt int 24 & info [ "epc-mb" ] ~doc)
+  Arg.(value & opt pos_int 24 & info [ "epc-mb" ] ~doc)
 
 let ops_arg =
   let doc = "Operations to measure." in
-  Arg.(value & opt int 2_000 & info [ "n"; "ops" ] ~doc)
+  Arg.(value & opt pos_int 2_000 & info [ "n"; "ops" ] ~doc)
 
 let seed_arg =
   let doc = "Random seed." in
@@ -82,172 +115,94 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"N")
 
+(* --- name filters and report files --------------------------------------- *)
+
+(* A comma-separated filter of registry names (inject, redteam and
+   defend): every unknown name is reported in one message, not just the
+   first. *)
+let parse_csv ~what ~of_name = function
+  | None -> None
+  | Some s ->
+    let names =
+      String.split_on_char ',' s
+      |> List.filter_map (fun x ->
+             let x = String.trim x in
+             if x = "" then None else Some x)
+    in
+    let unknown = List.filter (fun x -> of_name x = None) names in
+    if unknown <> [] then
+      failwith
+        (Printf.sprintf "unknown %s: %s"
+           (if List.length unknown = 1 then what
+            else if String.ends_with ~suffix:"y" what then
+              String.sub what 0 (String.length what - 1) ^ "ies"
+            else what ^ "s")
+           (String.concat ", " (List.map (Printf.sprintf "%S") unknown)));
+    Some (List.filter_map of_name names)
+
+(* Where a benchmark writes its report: [--out] if given, else the
+   committed [baseline] in full mode and no file in quick mode. *)
+let report_file ~quick ~baseline = function
+  | Some f -> Some f
+  | None -> if quick then None else Some baseline
+
+(* Write a cell table's JSON report to its [report_file]. *)
+let write_cells ~quick ~baseline out ~cells json =
+  Option.iter
+    (fun file ->
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_string oc (json ()));
+      Printf.printf "wrote      : %s (%d cells)\n" file (List.length cells))
+    (report_file ~quick ~baseline out)
+
 (* --- run ---------------------------------------------------------------- *)
 
-type workload_instance = {
-  wi_op : int -> unit;     (* serve request i *)
-  wi_unit : string;
-}
+(* The world [run] and [trace] drive: the perf cell at the requested EPC
+   allowance.  [on_system] runs as soon as the platform exists, before
+   any policy or workload is built, so [trace] can attach sinks that see
+   the whole stream. *)
+let build ?on_system ~trace ~workload ~scheme ~cluster_pages ~epc_mb ~seed () =
+  let epc_limit = epc_mb * 1_048_576 / page in
+  Harness.Builder.build ?on_system
+    (Harness.Builder.spec ~epc_limit ~cluster_pages ~trace scheme)
+    workload ~seed
 
-type built = {
-  b_sys : Harness.System.t;
-  b_op : int -> unit;
-  b_unit : string;
-}
+(* Run [ops] ops, counting them in [done_]: an enclave termination (a
+   rate-limit detection) escapes to the caller, which reports it as the
+   run's outcome. *)
+let drive op ~ops done_ () =
+  for i = 1 to ops do
+    op i;
+    done_ := i
+  done
 
-let build_system ~scheme ~epc_limit ~cluster_pages ~trace ~on_system =
-  let self_paging = scheme <> "baseline" in
-  let enclave_pages = 8 * epc_limit in
-  let sys =
-    Harness.System.create ~trace ~epc_frames:(epc_limit + 1_024) ~epc_limit
-      ~enclave_pages ~self_paging ~budget:(max 64 (epc_limit - 256)) ()
-  in
-  on_system sys;
-  let heap_pages = 4 * epc_limit in
-  let heap = Harness.System.allocator sys ~pages:heap_pages ~cluster_pages in
-  (sys, heap, heap_pages)
-
-(* One simulated platform + policy wiring + workload, shared by the
-   [run] and [trace] subcommands.  [on_system] runs as soon as the
-   platform exists (before any policy or workload construction) so the
-   trace subcommand can attach sinks that see the whole stream. *)
-let build_workload ?(trace = false) ?(on_system = fun _ -> ()) ~workload ~scheme
-    ~cluster_pages ~epc_mb ~seed () =
-    let epc_limit = epc_mb * 1_048_576 / page in
-    let rng = Metrics.Rng.create ~seed:(Int64.of_int seed) in
-    let sys, heap, heap_pages =
-      build_system ~scheme ~epc_limit ~cluster_pages ~trace ~on_system
-    in
-    let alloc ~bytes = Autarky.Allocator.alloc heap ~bytes in
-    (* Policy/instrumentation wiring per scheme. *)
-    let progress_hook = ref (fun () -> ()) in
-    let instrument = ref None in
-    let finish = ref (fun () -> ()) in
-    (match scheme with
-    | "baseline" -> ()
-    | "rate-limit" ->
-      let rt = Harness.System.runtime_exn sys in
-      let rl = Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 () in
-      progress_hook := (fun () -> Autarky.Policy_rate_limit.progress rl);
-      finish :=
-        fun () ->
-          Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-          Harness.System.manage sys (Autarky.Allocator.allocated_pages heap)
-    | "clusters" ->
-      let rt = Harness.System.runtime_exn sys in
-      finish :=
-        fun () ->
-          let pc =
-            Autarky.Policy_clusters.create ~runtime:rt
-              ~clusters:(Autarky.Allocator.clusters heap)
-          in
-          Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-          Harness.System.manage sys (Autarky.Allocator.allocated_pages heap)
-    | "oram" ->
-      let rt = Harness.System.runtime_exn sys in
-      let cache_pages = max 64 (epc_limit * 2 / 3) in
-      let cache_base = Harness.System.reserve sys ~pages:cache_pages in
-      let oram =
-        Oram.Path_oram.create
-          ~clock:(Harness.System.clock sys)
-          ~rng:(Metrics.Rng.create ~seed:9L) ~n_blocks:heap_pages ()
-      in
-      let cache =
-        Autarky.Oram_cache.create ~machine:(Harness.System.machine sys)
-          ~enclave:(Harness.System.enclave sys)
-          ~touch:(fun a k -> Sgx.Cpu.access (Harness.System.cpu sys) a k)
-          ~oram
-          ~data_base_vpage:(Autarky.Allocator.base_vpage heap)
-          ~n_pages:heap_pages ~cache_base_vpage:cache_base
-          ~capacity_pages:cache_pages ()
-      in
-      Harness.System.pin sys (List.init cache_pages (fun i -> cache_base + i));
-      let pol = Autarky.Policy_oram.create ~runtime:rt ~cache in
-      instrument :=
-        Some
-          (Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-               Sgx.Cpu.access (Harness.System.cpu sys) a k));
-      finish :=
-        fun () -> Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy pol)
-    | other -> failwith (Printf.sprintf "unknown scheme %S" other));
-    let vm =
-      match !instrument with
-      | Some i ->
-        Harness.System.vm sys ~instrument:i
-          ~on_progress:(fun () -> !progress_hook ())
-          ()
-      | None -> Harness.System.vm sys ~on_progress:(fun () -> !progress_hook ()) ()
-    in
-    (* Build the requested workload. *)
-    let wi =
-      match String.split_on_char ':' workload with
-      | [ "uthash" ] ->
-        let t =
-          Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
-            ~item_bytes:256 ~target_chain:10
-        in
-        { wi_op = (fun i -> ignore (Workloads.Uthash.find t ~key:(i * 7919 mod Workloads.Uthash.n_items t)));
-          wi_unit = "lookups" }
-      | [ "kvstore" ] ->
-        let n_entries = heap_pages * 3 in
-        let kv =
-          Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-        in
-        let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
-        let gen = Workloads.Ycsb.workload_c ~dist ~rng in
-        { wi_op =
-            (fun _ ->
-              match Workloads.Ycsb.next gen with
-              | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
-              | _ -> ());
-          wi_unit = "GETs" }
-      | [ "spellcheck" ] ->
-        let d =
-          Workloads.Spellcheck.load_dictionary ~vm ~alloc ~rng ~name:"en"
-            ~n_words:20_000 ()
-        in
-        let dist = Metrics.Dist.zipfian ~n:20_000 () in
-        { wi_op = (fun _ -> ignore (Workloads.Spellcheck.check d ~word:(Metrics.Dist.sample dist rng)));
-          wi_unit = "words" }
-      | [ "jpeg" ] ->
-        let codec = Workloads.Jpeg.create ~vm ~alloc ~blocks_w:64 ~blocks_h:1 in
-        let image = Workloads.Jpeg.random_image ~rng ~blocks_w:64 ~blocks_h:1 () in
-        { wi_op = (fun _ -> Workloads.Jpeg.decode codec ~image ());
-          wi_unit = "block rows" }
-      | [ "fontrender" ] ->
-        let f = Workloads.Fontrender.create ~vm ~alloc ~glyphs:96 ~code_pages:20 in
-        { wi_op = (fun i -> Workloads.Fontrender.render_glyph f (i mod 96));
-          wi_unit = "glyphs" }
-      | [ "kernel"; name ] ->
-        let spec = Workloads.Kernels.find name in
-        { wi_op =
-            (fun _ -> Workloads.Kernels.run spec ~vm ~rng ~units:1 ());
-          wi_unit = "units" }
-      | _ -> failwith (Printf.sprintf "unknown workload %S" workload)
-    in
-    !finish ();
-    { b_sys = sys; b_op = wi.wi_op; b_unit = wi.wi_unit }
+let terminated oc ~done_ ~ops ~unit reason =
+  Printf.fprintf oc "outcome    : enclave terminated after %d of %d %s: %s\n"
+    done_ ops unit reason
 
 let run_cmd =
   let doc = "Run a workload under a protection scheme and report stats." in
   let run workload scheme cluster_pages epc_mb ops seed =
-    let b = build_workload ~workload ~scheme ~cluster_pages ~epc_mb ~seed () in
-    let sys = b.b_sys in
-    let r =
-      Harness.Measure.run sys (fun () ->
-          for i = 1 to ops do
-            b.b_op i
-          done)
+    let sys, op =
+      build ~trace:false ~workload ~scheme ~cluster_pages ~epc_mb ~seed ()
     in
-    Printf.printf "workload   : %s under %s (EPC %d MiB)\n" workload scheme epc_mb;
-    Printf.printf "ops        : %d %s in %.3f ms simulated (%.0f/s)\n" ops
-      b.b_unit
-      (1000.0 *. r.Harness.Measure.seconds)
-      (Harness.Measure.throughput r ~ops);
-    Printf.printf "faults     : %d (%.0f/s), fetched %d, evicted %d pages\n"
-      r.Harness.Measure.page_faults (Harness.Measure.fault_rate r)
-      r.Harness.Measure.pages_fetched r.Harness.Measure.pages_evicted;
-    Printf.printf "tlb misses : %d\n" r.Harness.Measure.tlb_misses
+    let unit = Harness.Builder.workload_unit workload in
+    Printf.printf "workload   : %s under %s (EPC %d MiB)\n"
+      (Harness.Builder.workload_name workload)
+      (Harness.Builder.policy_name scheme)
+      epc_mb;
+    let done_ = ref 0 in
+    match Harness.Measure.run sys (drive op ~ops done_) with
+    | exception Sgx.Types.Enclave_terminated { reason; _ } ->
+      terminated stdout ~done_:!done_ ~ops ~unit reason
+    | r ->
+      Printf.printf "ops        : %d %s in %.3f ms simulated (%.0f/s)\n" ops unit
+        (1000.0 *. r.Harness.Measure.seconds)
+        (Harness.Measure.throughput r ~ops);
+      Printf.printf "faults     : %d (%.0f/s), fetched %d, evicted %d pages\n"
+        r.Harness.Measure.page_faults (Harness.Measure.fault_rate r)
+        r.Harness.Measure.pages_fetched r.Harness.Measure.pages_evicted;
+      Printf.printf "tlb misses : %d\n" r.Harness.Measure.tlb_misses
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -308,25 +263,30 @@ let trace_cmd =
         Trace.Recorder.add_sink tr (wrap sink)
       end
     in
-    let b =
-      build_workload ~trace:true ~on_system ~workload ~scheme ~cluster_pages
-        ~epc_mb ~seed ()
+    let sys, op =
+      build ~on_system ~trace:true ~workload ~scheme ~cluster_pages ~epc_mb
+        ~seed ()
     in
-    let sys = b.b_sys in
+    let unit = Harness.Builder.workload_unit workload in
     Harness.System.mark sys "measurement-start";
     (* Run directly (not via Measure.run, which resets the clock): event
        timestamps stay monotonic from platform construction onward. *)
-    Harness.System.run_in_enclave sys (fun () ->
-        for i = 1 to ops do
-          b.b_op i
-        done);
+    let done_ = ref 0 in
+    let outcome =
+      match Harness.System.run_in_enclave sys (drive op ~ops done_) with
+      | () -> None
+      | exception Sgx.Types.Enclave_terminated { reason; _ } -> Some reason
+    in
     Harness.System.mark sys "measurement-end";
     let tr = Harness.System.tracer_exn sys in
     Trace.Recorder.close tr;
     close_oc ();
     Printf.fprintf summary_oc
-      "trace      : %s under %s, %d %s (seed %d)\n" workload scheme ops
-      b.b_unit seed;
+      "trace      : %s under %s, %d %s (seed %d)\n"
+      (Harness.Builder.workload_name workload)
+      (Harness.Builder.policy_name scheme)
+      ops unit seed;
+    Option.iter (terminated summary_oc ~done_:!done_ ~ops ~unit) outcome;
     Printf.fprintf summary_oc
       "events     : %d emitted%s (ring retained %d of %d, dropped %d)\n"
       (Trace.Recorder.emitted tr)
@@ -441,27 +401,6 @@ let inject_cmd =
        $(b,--jobs) values."
     in
     Arg.(value & flag & info [ "print-digests" ] ~doc)
-  in
-  (* Report every unknown name in one message, not just the first. *)
-  let parse_csv ~what ~of_name = function
-    | None -> None
-    | Some s ->
-      let names =
-        String.split_on_char ',' s
-        |> List.filter_map (fun x ->
-               let x = String.trim x in
-               if x = "" then None else Some x)
-      in
-      let unknown = List.filter (fun x -> of_name x = None) names in
-      if unknown <> [] then
-        failwith
-          (Printf.sprintf "unknown %s: %s"
-             (if List.length unknown = 1 then what
-              else if String.ends_with ~suffix:"y" what then
-                String.sub what 0 (String.length what - 1) ^ "ies"
-              else what ^ "s")
-             (String.concat ", " (List.map (Printf.sprintf "%S") unknown)));
-      Some (List.filter_map of_name names)
   in
   let snapshot_dir_arg =
     let doc =
@@ -632,12 +571,7 @@ let perf_cmd =
       then
         exit 1
     | None ->
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_perf.json"
-        | None, true -> None
-      in
+      let out = report_file ~quick ~baseline:"BENCH_perf.json" out in
       ignore (Harness.Perf.run ~quick ~seed ~jobs ?out ())
   in
   Cmd.v (Cmd.info "perf" ~doc)
@@ -646,16 +580,6 @@ let perf_cmd =
       $ against_arg $ tolerance_arg $ wall_ceiling_arg $ alloc_ceiling_arg)
 
 (* --- serve ----------------------------------------------------------------- *)
-
-(* Sizes that must be at least one: a non-positive value is a usage
-   error (exit 124), not an exception out of the driver. *)
-let pos_int =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let serve_cmd =
   let doc =
@@ -873,28 +797,6 @@ let redteam_cmd =
     in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"FILE")
   in
-  (* Report every unknown name in one message, not just the first (same
-     fail-fast contract as the inject campaign's filters). *)
-  let parse_csv ~what ~of_name = function
-    | None -> None
-    | Some s ->
-      let names =
-        String.split_on_char ',' s
-        |> List.filter_map (fun x ->
-               let x = String.trim x in
-               if x = "" then None else Some x)
-      in
-      let unknown = List.filter (fun x -> of_name x = None) names in
-      if unknown <> [] then
-        failwith
-          (Printf.sprintf "unknown %s: %s"
-             (if List.length unknown = 1 then what
-              else if String.ends_with ~suffix:"y" what then
-                String.sub what 0 (String.length what - 1) ^ "ies"
-              else what ^ "s")
-             (String.concat ", " (List.map (Printf.sprintf "%S") unknown)));
-      Some (List.filter_map of_name names)
-  in
   let run list quick adversaries policies mechs out seed jobs =
     if list then
       List.iter
@@ -911,26 +813,15 @@ let redteam_cmd =
           policies
       in
       let mechs =
-        parse_csv ~what:"mech" ~of_name:Redteam.Victim.mech_of_name mechs
+        parse_csv ~what:"mech" ~of_name:Harness.Builder.mech_of_name mechs
       in
       let cells =
         Redteam.Scoreboard.run ~quick ?adversaries ?policies ?mechs ~seed ~jobs
           ()
       in
       Redteam.Scoreboard.print_table cells;
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_redteam.json"
-        | None, true -> None
-      in
-      match out with
-      | None -> ()
-      | Some file ->
-        let json = Redteam.Scoreboard.to_json ~quick ~seed cells in
-        Out_channel.with_open_bin file (fun oc ->
-            Out_channel.output_string oc json);
-        Printf.printf "wrote      : %s (%d cells)\n" file (List.length cells)
+      write_cells ~quick ~baseline:"BENCH_redteam.json" out ~cells (fun () ->
+          Redteam.Scoreboard.to_json ~quick ~seed cells)
     end
   in
   Cmd.v (Cmd.info "redteam" ~doc)
@@ -982,28 +873,6 @@ let defend_cmd =
     in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~doc ~docv:"FILE")
   in
-  (* Same fail-fast contract as inject/redteam: report every unknown name
-     in one message. *)
-  let parse_csv ~what ~of_name = function
-    | None -> None
-    | Some s ->
-      let names =
-        String.split_on_char ',' s
-        |> List.filter_map (fun x ->
-               let x = String.trim x in
-               if x = "" then None else Some x)
-      in
-      let unknown = List.filter (fun x -> of_name x = None) names in
-      if unknown <> [] then
-        failwith
-          (Printf.sprintf "unknown %s: %s"
-             (if List.length unknown = 1 then what
-              else if String.ends_with ~suffix:"y" what then
-                String.sub what 0 (String.length what - 1) ^ "ies"
-              else what ^ "s")
-             (String.concat ", " (List.map (Printf.sprintf "%S") unknown)));
-      Some (List.filter_map of_name names)
-  in
   let run list quick adversaries policies out seed jobs =
     if list then begin
       List.iter
@@ -1033,19 +902,8 @@ let defend_cmd =
         Defense.Defend.run ~quick ?adversaries ?ladder_filter ~seed ~jobs ()
       in
       Defense.Defend.print_table cells;
-      let out =
-        match (out, quick) with
-        | Some f, _ -> Some f
-        | None, false -> Some "BENCH_defense.json"
-        | None, true -> None
-      in
-      match out with
-      | None -> ()
-      | Some file ->
-        let json = Defense.Defend.to_json ~quick ~seed cells in
-        Out_channel.with_open_bin file (fun oc ->
-            Out_channel.output_string oc json);
-        Printf.printf "wrote      : %s (%d cells)\n" file (List.length cells)
+      write_cells ~quick ~baseline:"BENCH_defense.json" out ~cells (fun () ->
+          Defense.Defend.to_json ~quick ~seed cells)
     end
   in
   Cmd.v (Cmd.info "defend" ~doc)

@@ -254,11 +254,21 @@ let run_cmd =
   in
   let cells_arg =
     let doc =
-      "Comma-separated longrun cells, each workload:policy:mech \
-       (workloads ycsb, uthash, kvstore; policies rate-limit, clusters, \
-       oram; mechs sgx1, sgx2)."
+      "Comma-separated longrun cells, each workload:policy:mech, named as \
+       $(b,autarky_sim run) names them (e.g. uthash:clusters:sgx2).  A bad \
+       cell is a usage error before anything is built."
     in
-    Arg.(value & opt string "ycsb:rate-limit:sgx1" & info [ "cells" ] ~doc)
+    let cell =
+      let parse s =
+        Option.to_result (Longrun.cell_of_string s)
+          ~none:(`Msg (Printf.sprintf "bad cell %S (want workload:policy:mech)" s))
+      in
+      Arg.conv (parse, fun ppf c -> Format.pp_print_string ppf (Longrun.cell_to_string c))
+    in
+    Arg.(
+      value
+      & opt (list cell) [ (Harness.Builder.Ycsb, Harness.Builder.Rate_limit, `Sgx1) ]
+      & info [ "cells" ] ~doc)
   in
   let ops_arg =
     let doc = "Operation horizon (longrun and inject)." in
@@ -304,19 +314,11 @@ let run_cmd =
     match kind with
     | "longrun" ->
       let specs =
-        String.split_on_char ',' cells
-        |> List.filter (fun s -> String.trim s <> "")
-        |> List.map (fun s ->
-               match Longrun.cell_of_string (String.trim s) with
-               | Ok (w, p, m) ->
-                 {
-                   Longrun.sp_workload = w;
-                   sp_policy = p;
-                   sp_mech = m;
-                   sp_seed = seed;
-                   sp_ops = ops;
-                 }
-               | Error msg -> fail "%s" msg)
+        List.map
+          (fun (w, p, m) ->
+            { Longrun.sp_workload = w; sp_policy = p; sp_mech = m; sp_seed = seed;
+              sp_ops = ops })
+          cells
       in
       Parallel.Pool.map ~jobs
         (fun spec ->

@@ -138,112 +138,10 @@ let micro_section ~quick =
 (* --- matrix section --------------------------------------------------- *)
 
 (* One cell = one fresh platform: a self-paging enclave under the given
-   policy and paging mechanism, driven by a fixed-seed workload. *)
+   policy and paging mechanism, driven by a fixed-seed workload at the
+   builder's perf-cell geometry. *)
 let run_cell ~workload ~policy ~mech ~seed ~ops =
-  (* 4 MiB EPC: small enough that the 16 MiB heap pages heavily, large
-     enough that the pinned ORAM cache (2/3 of EPC) fits the paging
-     budget (EPC - 256). *)
-  let epc_limit = 1_024 in
-  let enclave_pages = 8 * epc_limit in
-  let rng = Metrics.Rng.create ~seed:(Int64.of_int seed) in
-  let sys =
-    System.create ~mech ~epc_frames:(epc_limit + 1_024) ~epc_limit
-      ~enclave_pages ~self_paging:true
-      ~budget:(max 64 (epc_limit - 256))
-      ()
-  in
-  let heap_pages = 4 * epc_limit in
-  let heap = System.allocator sys ~pages:heap_pages ~cluster_pages:10 in
-  let alloc ~bytes = Autarky.Allocator.alloc heap ~bytes in
-  let rt = System.runtime_exn sys in
-  let progress_hook = ref (fun () -> ()) in
-  let instrument = ref None in
-  let finish = ref (fun () -> ()) in
-  (match policy with
-  | "rate-limit" ->
-    let rl =
-      Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 ()
-    in
-    progress_hook := (fun () -> Autarky.Policy_rate_limit.progress rl);
-    finish :=
-      fun () ->
-        Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "clusters" ->
-    finish :=
-      fun () ->
-        let pc =
-          Autarky.Policy_clusters.create ~runtime:rt
-            ~clusters:(Autarky.Allocator.clusters heap)
-        in
-        Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "oram" ->
-    let cache_pages = max 64 (epc_limit * 2 / 3) in
-    let cache_base = System.reserve sys ~pages:cache_pages in
-    let oram =
-      Oram.Path_oram.create ~clock:(System.clock sys)
-        ~rng:(Metrics.Rng.create ~seed:9L) ~n_blocks:heap_pages ()
-    in
-    let cache =
-      Autarky.Oram_cache.create ~machine:(System.machine sys)
-        ~enclave:(System.enclave sys)
-        ~touch:(fun a k -> Sgx.Cpu.access (System.cpu sys) a k)
-        ~oram
-        ~data_base_vpage:(Autarky.Allocator.base_vpage heap)
-        ~n_pages:heap_pages ~cache_base_vpage:cache_base
-        ~capacity_pages:cache_pages ()
-    in
-    System.pin sys (List.init cache_pages (fun i -> cache_base + i));
-    let pol = Autarky.Policy_oram.create ~runtime:rt ~cache in
-    instrument :=
-      Some
-        (Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-             Sgx.Cpu.access (System.cpu sys) a k));
-    finish := fun () -> Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy pol)
-  | other -> invalid_arg (Printf.sprintf "Perf.run_cell: unknown policy %S" other));
-  let vm =
-    match !instrument with
-    | Some i ->
-      System.vm sys ~instrument:i ~on_progress:(fun () -> !progress_hook ()) ()
-    | None -> System.vm sys ~on_progress:(fun () -> !progress_hook ()) ()
-  in
-  let op =
-    match workload with
-    | "ycsb" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
-      let gen = Workloads.Ycsb.workload_c ~dist ~rng in
-      fun _ ->
-        (match Workloads.Ycsb.next gen with
-        | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
-        | _ -> ())
-    | "uthash" ->
-      let t =
-        Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
-          ~item_bytes:256 ~target_chain:10
-      in
-      let n = Workloads.Uthash.n_items t in
-      (* Uthash emits no progress events of its own; the request is the
-         natural progress unit (cf. bench/exp_fig7.ml). *)
-      fun i ->
-        ignore (Workloads.Uthash.find t ~key:(i * 7919 mod n));
-        vm.Workloads.Vm.progress ()
-    | "kvstore" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.uniform ~n:n_entries in
-      fun _ ->
-        ignore (Workloads.Kvstore.get kv ~key:(Metrics.Dist.sample dist rng))
-    | other ->
-      invalid_arg (Printf.sprintf "Perf.run_cell: unknown workload %S" other)
-  in
-  !finish ();
+  let sys, op = Builder.build (Builder.spec ~mech policy) workload ~seed in
   let acc0 = Sgx.Cpu.accesses (System.cpu sys) in
   (* Start the measured phase from a compacted heap.  On OCaml 5.1 the
      minor-word count over a phase grows with the minor collections that
@@ -271,9 +169,9 @@ let run_cell ~workload ~policy ~mech ~seed ~ops =
   let accesses = Sgx.Cpu.accesses (System.cpu sys) - acc0 in
   let n = float_of_int (max 1 accesses) in
   {
-    mx_workload = workload;
-    mx_policy = policy;
-    mx_mech = (match mech with `Sgx1 -> "sgx1" | `Sgx2 -> "sgx2");
+    mx_workload = Builder.workload_name workload;
+    mx_policy = Builder.policy_name policy;
+    mx_mech = Builder.mech_name mech;
     mx_ops = ops;
     mx_accesses = accesses;
     mx_wall_ns = wall_ns /. n;
@@ -288,8 +186,8 @@ let run_cell ~workload ~policy ~mech ~seed ~ops =
    merged back in cell order — modeled cycles, faults and allocation
    are bit-identical at any [jobs]; only the wall fields move. *)
 let matrix_cells ~quick =
-  let workloads = if quick then [ "ycsb" ] else [ "ycsb"; "uthash"; "kvstore" ] in
-  let policies = [ "rate-limit"; "clusters"; "oram" ] in
+  let workloads = Builder.(if quick then [ Ycsb ] else [ Ycsb; Uthash; Kvstore ]) in
+  let policies = Builder.[ Rate_limit; Clusters; Oram ] in
   let mechs = [ `Sgx1; `Sgx2 ] in
   List.concat_map
     (fun workload ->
@@ -449,6 +347,8 @@ let gate_cells_of_json ~ctx j =
            g_alloc = num ~ctx (field "alloc_bytes_per_access");
          })
 
+(* A fresh run's cycles are rounded as [to_json] writes them, so that a
+   file and a fresh run of the same build compare equal at tolerance 0. *)
 let gate_cells_of_rows rows =
   List.map
     (fun m ->
@@ -456,7 +356,7 @@ let gate_cells_of_rows rows =
         g_key = (m.mx_workload, m.mx_policy, m.mx_mech);
         g_ops = m.mx_ops;
         g_accesses = m.mx_accesses;
-        g_cycles = m.mx_cycles;
+        g_cycles = float_of_string (Printf.sprintf "%.2f" m.mx_cycles);
         g_faults = m.mx_faults;
         g_wall_ns = m.mx_wall_ns;
         g_alloc = m.mx_alloc;
@@ -503,8 +403,12 @@ let gate_inputs ~baseline ?against ~jobs () =
         seed baseline;
       let ops = matrix_ops ~quick in
       let alone (workload, policy, mech) =
-        let mech = if mech = "sgx2" then `Sgx2 else `Sgx1 in
-        (run_cell ~workload ~policy ~mech ~seed ~ops).mx_alloc
+        let parse of_name name = Option.get (of_name name) in
+        (run_cell ~seed ~ops
+           ~workload:(parse Builder.workload_of_name workload)
+           ~policy:(parse Builder.policy_of_name policy)
+           ~mech:(parse Builder.mech_of_name mech))
+          .mx_alloc
       in
       (gate_cells_of_rows (matrix_section ~quick ~seed ~jobs), "this run", Some alone)
   in

@@ -82,7 +82,12 @@ let attach ?(mech = `Sgx1) ?budget ?wrap_os ~machine ~os ~proc () =
 let create ?model ?(mode = Sgx.Machine.Full_exits) ?(mech = `Sgx1) ?budget
     ?(trace = false) ?trace_capacity ?wrap_os ~epc_frames ~epc_limit
     ~enclave_pages ~self_paging () =
-  assert (epc_frames > 0 && epc_limit > 0 && enclave_pages > 0);
+  let positive name v =
+    if v <= 0 then invalid_arg ("System.create: " ^ name ^ " must be positive")
+  in
+  positive "epc_frames" epc_frames;
+  positive "epc_limit" epc_limit;
+  positive "enclave_pages" enclave_pages;
   let machine =
     match model with
     | Some m -> Sgx.Machine.create ~model:m ~mode ~epc_frames ()
@@ -134,7 +139,7 @@ let mark t name =
       (Trace.Event.Mark { name })
 
 let reserve t ~pages =
-  assert (pages > 0);
+  if pages <= 0 then invalid_arg "System.reserve: pages must be positive";
   if t.next_region + pages > t.region_end then
     invalid_arg
       (Printf.sprintf "System.reserve: enclave address space exhausted (%d > %d)"
@@ -170,10 +175,8 @@ let chunks n lst =
   in
   go [] [] 0 lst
 
-let pin t pages =
-  let rt = runtime_exn t in
-  Autarky.Runtime.mark_enclave_managed rt pages;
-  let pager = Autarky.Runtime.pager rt in
+let fetch_resident t pages =
+  let pager = Autarky.Runtime.pager (runtime_exn t) in
   let need = List.filter (fun p -> not (Autarky.Pager.resident pager p)) pages in
   List.iter
     (fun chunk ->
@@ -181,6 +184,10 @@ let pin t pages =
         ~victims:(fun () -> Autarky.Pager.oldest_residents pager 16);
       Autarky.Pager.fetch pager chunk)
     (chunks 64 need)
+
+let pin t pages =
+  Autarky.Runtime.mark_enclave_managed (runtime_exn t) pages;
+  fetch_resident t pages
 
 let manage t pages =
   let rt = runtime_exn t in

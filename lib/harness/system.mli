@@ -43,7 +43,10 @@ val create :
     is handed to the runtime — the hook through which the Byzantine-OS
     fault-injection layer ([Inject.Injector.wrap_os]) intercepts the
     kernel/runtime boundary.  Only meaningful for self-paging
-    enclaves. *)
+    enclaves.
+
+    @raise Invalid_argument naming [epc_frames], [epc_limit] or
+    [enclave_pages] when it is not positive. *)
 
 val attach :
   ?mech:Autarky.Pager.mech ->
@@ -80,7 +83,10 @@ val mark : t -> string -> unit
     off) — lets offline analysis segment setup from measurement. *)
 
 val reserve : t -> pages:int -> Sgx.Types.vpage
-(** Carve a fresh region of the enclave's address space. *)
+(** Carve a fresh region of the enclave's address space.
+
+    @raise Invalid_argument naming [pages] when it is not positive, or
+    when the region would run past the enclave's end. *)
 
 val allocator : t -> pages:int -> cluster_pages:int -> Autarky.Allocator.t
 (** Reserve a region and wrap it in the auto-clustering allocator. *)
@@ -97,8 +103,14 @@ val vm :
     workload's progress events (rate-limit wiring). *)
 
 val pin : t -> Sgx.Types.vpage list -> unit
-(** Mark pages enclave-managed and fetch them resident (code, stack,
+(** Mark pages enclave-managed and {!fetch_resident} them (code, stack,
     runtime metadata, ORAM cache). *)
+
+val fetch_resident : t -> Sgx.Types.vpage list -> unit
+(** Fetch the non-resident ones of already enclave-managed pages, 64 at
+    a time, each batch making room by evicting the FIFO-oldest
+    residents: how {!pin} and a live ORAM re-escalation bring a pinned
+    region back. *)
 
 val manage : t -> Sgx.Types.vpage list -> unit
 (** Mark pages enclave-managed without prefetching (demand-paged data). *)

@@ -148,7 +148,7 @@ let to_json ~quick ~seed cells =
             \"%s\"}%s\n"
            (json_escape c.c_adversary)
            (Victim.policy_name c.c_policy)
-           (Victim.mech_name c.c_mech)
+           (Harness.Builder.mech_name c.c_mech)
            outcome (json_escape reason) c.c_requests c.c_alphabet
            c.c_observations (f c.c_bits_leaked) (f c.c_bits_ideal)
            (f c.c_guess_probability) (f c.c_blind_guess) c.c_probes
@@ -170,7 +170,7 @@ let print_table cells =
       Printf.printf "  %-14s %-11s %-5s %-9s %12.2f %11.2f %6d %6d\n"
         c.c_adversary
         (Victim.policy_name c.c_policy)
-        (Victim.mech_name c.c_mech)
+        (Harness.Builder.mech_name c.c_mech)
         outcome c.c_bits_leaked c.c_bits_ideal c.c_observations
         c.c_terminations)
     cells

@@ -15,13 +15,6 @@ let policy_of_name = function
   | "oram" -> Some Oram
   | _ -> None
 
-let mech_name = function `Sgx1 -> "sgx1" | `Sgx2 -> "sgx2"
-
-let mech_of_name = function
-  | "sgx1" -> Some `Sgx1
-  | "sgx2" -> Some `Sgx2
-  | _ -> None
-
 type config = {
   policy : policy;
   mech : Autarky.Pager.mech;

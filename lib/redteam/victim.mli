@@ -30,9 +30,6 @@ val policy_of_name : string -> policy option
 val all_policies : policy list
 (** [Baseline; Rate_limit; Clusters; Oram] — canonical order. *)
 
-val mech_name : Autarky.Pager.mech -> string
-val mech_of_name : string -> Autarky.Pager.mech option
-
 type config = {
   policy : policy;
   mech : Autarky.Pager.mech;  (** ignored for [Baseline] (always SGXv1) *)

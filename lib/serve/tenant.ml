@@ -192,42 +192,15 @@ let build_oram t sl =
     op_cache_pages = List.init cache_pages (fun i -> cache_base + i);
   }
 
-let oram_accessor sys pol =
-  Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-      Sgx.Cpu.access (System.cpu sys) a k)
-
-(* Bring previously evicted (still enclave-managed) cache pages back
-   resident — the re-escalation counterpart of {!System.pin}. *)
-let refetch_pinned sys pages =
-  let pager = Autarky.Runtime.pager (System.runtime_exn sys) in
-  let need =
-    List.filter (fun p -> not (Autarky.Pager.resident pager p)) pages
-  in
-  let rec chunks n = function
-    | [] -> []
-    | l ->
-      let rec take k acc = function
-        | x :: tl when k > 0 -> take (k - 1) (x :: acc) tl
-        | rest -> (List.rev acc, rest)
-      in
-      let c, rest = take n [] l in
-      c :: chunks n rest
-  in
-  List.iter
-    (fun chunk ->
-      Autarky.Pager.make_room pager ~incoming:(List.length chunk)
-        ~victims:(fun () -> Autarky.Pager.oldest_residents pager 16);
-      Autarky.Pager.fetch pager chunk)
-    (chunks 64 need)
-
-(* Per-policy setup that must run *before* the workload is built (the
-   rate limiter counts the build's progress events; the ORAM cache must
-   intercept nothing during the build but its machinery is created
-   up-front, exactly as the fixed-policy boot did).  Returns the finish
-   step that runs after the workload exists. *)
-let pre_install t sl kind =
-  let sys = sl.sl_sys in
-  let rt = System.runtime_exn sys in
+(* Bring policy [kind] up on [sl], at boot and on a live switch alike,
+   in two steps.  The first runs now: it creates the rate limiter (and
+   routes progress events to it) or builds the ORAM tree and pinned
+   cache, fetching a surviving cache back after a de-escalation.  At
+   boot it runs before the workload is built, so the build's progress
+   events reach the limiter.  The returned step installs the policy
+   once the workload exists. *)
+let prepare t sl kind =
+  let rt = System.runtime_exn sl.sl_sys in
   match kind with
   | Rate_limit ->
     let rl =
@@ -246,6 +219,8 @@ let pre_install t sl kind =
       Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
       ensure_managed sl
   | Preload ->
+    (* May raise Invalid_argument when the set does not fit the budget;
+       a live switch then rolls back to the previous policy. *)
     fun () ->
       let pp =
         Autarky.Policy_preload.create ~runtime:rt
@@ -255,44 +230,29 @@ let pre_install t sl kind =
       ensure_managed sl;
       Autarky.Policy_preload.preload pp
   | Oram ->
-    let parts = build_oram t sl in
-    sl.sl_oram <- Some parts;
-    sl.sl_iref := Some (oram_accessor sys parts.op_pol);
+    let parts =
+      match sl.sl_oram with
+      | Some p ->
+        System.fetch_resident sl.sl_sys p.op_cache_pages;
+        p
+      | None ->
+        let p = build_oram t sl in
+        sl.sl_oram <- Some p;
+        p
+    in
+    let cpu = System.cpu sl.sl_sys in
+    sl.sl_iref :=
+      Some
+        (Autarky.Policy_oram.accessor parts.op_pol ~fallback:(fun a k ->
+             Sgx.Cpu.access cpu a k));
     fun () ->
       Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy parts.op_pol)
 
 (* Live policy switch on an already-serving slice.  The caller
    ([set_policy]) guarantees we are at a request boundary. *)
 let switch_policy t sl ~from_ ~to_ =
-  let sys = sl.sl_sys in
-  let rt = System.runtime_exn sys in
-  let pager = Autarky.Runtime.pager rt in
-  let install kind =
-    match kind with
-    | Rate_limit ->
-      let rl =
-        Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 ()
-      in
-      sl.sl_progress := (fun () -> Autarky.Policy_rate_limit.progress rl);
-      Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-      ensure_managed sl
-    | Clusters ->
-      let pc =
-        Autarky.Policy_clusters.create ~runtime:rt
-          ~clusters:(Autarky.Allocator.clusters sl.sl_heap)
-      in
-      Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-      ensure_managed sl
-    | Preload ->
-      (* May raise Invalid_argument when the set does not fit the
-         budget — the caller rolls back to [from_]. *)
-      let pp =
-        Autarky.Policy_preload.create ~runtime:rt
-          ~pages:(Autarky.Allocator.allocated_pages sl.sl_heap) ()
-      in
-      Autarky.Runtime.set_policy rt (Autarky.Policy_preload.policy pp);
-      ensure_managed sl;
-      Autarky.Policy_preload.preload pp
+  let pager = Autarky.Runtime.pager (System.runtime_exn sl.sl_sys) in
+  let install = function
     | Oram ->
       (* Sealed state handoff: every resident heap page leaves the EPC
          through the pager's seal-and-evict path, then the working set
@@ -311,23 +271,17 @@ let switch_policy t sl ~from_ ~to_ =
           (Autarky.Allocator.allocated_pages sl.sl_heap)
       in
       Autarky.Pager.evict pager resident_heap;
-      let parts =
-        match sl.sl_oram with
-        | Some p ->
-          refetch_pinned sys p.op_cache_pages;
-          p
-        | None ->
-          let p = build_oram t sl in
-          sl.sl_oram <- Some p;
-          p
-      in
+      let finish = prepare t sl Oram in
       let base = Autarky.Allocator.base_vpage sl.sl_heap in
-      List.iter
-        (fun vp ->
-          Oram.Path_oram.access parts.op_oram ~block:(vp - base) (fun _ -> ()))
-        resident_heap;
-      sl.sl_iref := Some (oram_accessor sys parts.op_pol);
-      Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy parts.op_pol)
+      Option.iter
+        (fun p ->
+          List.iter
+            (fun vp ->
+              Oram.Path_oram.access p.op_oram ~block:(vp - base) (fun _ -> ()))
+            resident_heap)
+        sl.sl_oram;
+      finish ()
+    | kind -> prepare t sl kind ()
   in
   (* Tear the old policy down to a neutral demand-paged state. *)
   (match from_ with
@@ -397,7 +351,7 @@ let build_slice t =
     }
   in
   sl.sl_req_thunk <- (fun () -> sl.sl_op !(sl.sl_req_key));
-  let finish = pre_install t sl t.active_policy in
+  let finish = prepare t sl t.active_policy in
   let vm =
     System.vm sys
       ~instrument:(fun a k ->

@@ -14,23 +14,39 @@
      something across slices. *)
 
 module System = Harness.System
+module Builder = Harness.Builder
+
+type cell = Builder.workload * Builder.policy * Autarky.Pager.mech
 
 type spec = {
-  sp_workload : string;  (* ycsb | uthash | kvstore *)
-  sp_policy : string;  (* rate-limit | clusters | oram *)
-  sp_mech : string;  (* sgx1 | sgx2 *)
+  sp_workload : Builder.workload;
+  sp_policy : Builder.policy;
+  sp_mech : Autarky.Pager.mech;
   sp_seed : int;
   sp_ops : int;
 }
 
+let cell_to_string (w, p, m) =
+  String.concat ":"
+    [ Builder.workload_name w; Builder.policy_name p; Builder.mech_name m ]
+
+let cell_name s = cell_to_string (s.sp_workload, s.sp_policy, s.sp_mech)
+
 let spec_label s =
-  Printf.sprintf "longrun/%s/%s/%s/seed%d/ops%d" s.sp_workload s.sp_policy
-    s.sp_mech s.sp_seed s.sp_ops
+  Printf.sprintf "longrun/%s/seed%d/ops%d"
+    (String.map (function ':' -> '/' | c -> c) (cell_name s))
+    s.sp_seed s.sp_ops
 
 let cell_of_string str =
+  let parse w p m =
+    match Builder.(workload_of_name w, policy_of_name p, mech_of_name m) with
+    | Some w, Some p, Some m -> Some (w, p, m)
+    | _ -> None
+  in
   match String.split_on_char ':' str with
-  | [ w; p; m ] -> Ok (w, p, m)
-  | _ -> Error (Printf.sprintf "bad cell %S (want workload:policy:mech)" str)
+  | [ w; p; m ] -> parse w p m
+  | [ "kernel"; k; p; m ] -> parse ("kernel:" ^ k) p m
+  | _ -> None
 
 type world = {
   w_spec : spec;
@@ -42,123 +58,23 @@ type world = {
 
 let kind = "longrun"
 
-(* The perf-cell geometry: 4 MiB EPC against a 16 MiB heap. *)
-let epc_limit = 1_024
-
 let build spec =
-  let mech =
-    match spec.sp_mech with
-    | "sgx1" -> `Sgx1
-    | "sgx2" -> `Sgx2
-    | other -> invalid_arg (Printf.sprintf "Longrun.build: unknown mech %S" other)
+  let digest = ref (fun () -> "") in
+  let on_system sys =
+    let dsink, dres = Trace.Sink.digest () in
+    Trace.Recorder.add_sink (System.tracer_exn sys) dsink;
+    digest := dres
   in
-  let enclave_pages = 8 * epc_limit in
-  let rng = Metrics.Rng.create ~seed:(Int64.of_int spec.sp_seed) in
-  let sys =
-    System.create ~mech ~trace:true ~epc_frames:(epc_limit + 1_024) ~epc_limit
-      ~enclave_pages ~self_paging:true
-      ~budget:(max 64 (epc_limit - 256))
-      ()
+  let sys, op =
+    Builder.build ~on_system
+      (Builder.spec ~mech:spec.sp_mech ~trace:true spec.sp_policy)
+      spec.sp_workload ~seed:spec.sp_seed
   in
-  let dsink, dres = Trace.Sink.digest () in
-  Trace.Recorder.add_sink (System.tracer_exn sys) dsink;
-  let heap_pages = 4 * epc_limit in
-  let heap = System.allocator sys ~pages:heap_pages ~cluster_pages:10 in
-  let alloc ~bytes = Autarky.Allocator.alloc heap ~bytes in
-  let rt = System.runtime_exn sys in
-  let progress_hook = ref (fun () -> ()) in
-  let instrument = ref None in
-  let finish = ref (fun () -> ()) in
-  (match spec.sp_policy with
-  | "rate-limit" ->
-    let rl =
-      Autarky.Policy_rate_limit.create ~runtime:rt ~max_faults_per_unit:512 ()
-    in
-    progress_hook := (fun () -> Autarky.Policy_rate_limit.progress rl);
-    finish :=
-      fun () ->
-        Autarky.Runtime.set_policy rt (Autarky.Policy_rate_limit.policy rl);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "clusters" ->
-    finish :=
-      fun () ->
-        let pc =
-          Autarky.Policy_clusters.create ~runtime:rt
-            ~clusters:(Autarky.Allocator.clusters heap)
-        in
-        Autarky.Runtime.set_policy rt (Autarky.Policy_clusters.policy pc);
-        System.manage sys (Autarky.Allocator.allocated_pages heap)
-  | "oram" ->
-    let cache_pages = max 64 (epc_limit * 2 / 3) in
-    let cache_base = System.reserve sys ~pages:cache_pages in
-    let oram =
-      Oram.Path_oram.create ~clock:(System.clock sys)
-        ~rng:(Metrics.Rng.create ~seed:9L) ~n_blocks:heap_pages ()
-    in
-    let cache =
-      Autarky.Oram_cache.create ~machine:(System.machine sys)
-        ~enclave:(System.enclave sys)
-        ~touch:(fun a k -> Sgx.Cpu.access (System.cpu sys) a k)
-        ~oram
-        ~data_base_vpage:(Autarky.Allocator.base_vpage heap)
-        ~n_pages:heap_pages ~cache_base_vpage:cache_base
-        ~capacity_pages:cache_pages ()
-    in
-    System.pin sys (List.init cache_pages (fun i -> cache_base + i));
-    let pol = Autarky.Policy_oram.create ~runtime:rt ~cache in
-    instrument :=
-      Some
-        (Autarky.Policy_oram.accessor pol ~fallback:(fun a k ->
-             Sgx.Cpu.access (System.cpu sys) a k));
-    finish :=
-      fun () -> Autarky.Runtime.set_policy rt (Autarky.Policy_oram.policy pol)
-  | other ->
-    invalid_arg (Printf.sprintf "Longrun.build: unknown policy %S" other));
-  let vm =
-    match !instrument with
-    | Some i ->
-      System.vm sys ~instrument:i ~on_progress:(fun () -> !progress_hook ()) ()
-    | None -> System.vm sys ~on_progress:(fun () -> !progress_hook ()) ()
-  in
-  let op =
-    match spec.sp_workload with
-    | "ycsb" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.scrambled_zipfian ~n:n_entries () in
-      let gen = Workloads.Ycsb.workload_c ~dist ~rng in
-      fun _ ->
-        (match Workloads.Ycsb.next gen with
-        | Workloads.Ycsb.Get k -> ignore (Workloads.Kvstore.get kv ~key:k)
-        | _ -> ())
-    | "uthash" ->
-      let t =
-        Workloads.Uthash.create ~vm ~alloc ~rng ~n_items:(heap_pages * 12)
-          ~item_bytes:256 ~target_chain:10
-      in
-      let n = Workloads.Uthash.n_items t in
-      fun i ->
-        ignore (Workloads.Uthash.find t ~key:(i * 7919 mod n));
-        vm.Workloads.Vm.progress ()
-    | "kvstore" ->
-      let n_entries = heap_pages * 3 in
-      let kv =
-        Workloads.Kvstore.create ~vm ~alloc ~rng ~n_entries ~value_bytes:1_024 ()
-      in
-      let dist = Metrics.Dist.uniform ~n:n_entries in
-      fun _ ->
-        ignore (Workloads.Kvstore.get kv ~key:(Metrics.Dist.sample dist rng))
-    | other ->
-      invalid_arg (Printf.sprintf "Longrun.build: unknown workload %S" other)
-  in
-  !finish ();
   {
     w_spec = spec;
     w_sys = sys;
     w_op = (fun i -> System.run_in_enclave sys (fun () -> op i));
-    w_digest = dres;
+    w_digest = !digest;
     w_done = 0;
   }
 
@@ -195,9 +111,8 @@ let outcome w =
 
 let outcome_line o =
   Printf.sprintf
-    "longrun %s:%s:%s seed %d ops %d/%d cycles %d faults %d digest %s counters %s"
-    o.o_spec.sp_workload o.o_spec.sp_policy o.o_spec.sp_mech o.o_spec.sp_seed
-    o.o_done o.o_spec.sp_ops o.o_cycles o.o_faults o.o_digest o.o_counters
+    "longrun %s seed %d ops %d/%d cycles %d faults %d digest %s counters %s"
+    (cell_name o.o_spec) o.o_spec.sp_seed o.o_done o.o_spec.sp_ops o.o_cycles o.o_faults o.o_digest o.o_counters
 
 (* --- sliced execution -------------------------------------------------- *)
 

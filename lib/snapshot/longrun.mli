@@ -9,9 +9,9 @@
     straight-through run's. *)
 
 type spec = {
-  sp_workload : string;  (** ycsb | uthash | kvstore *)
-  sp_policy : string;  (** rate-limit | clusters | oram *)
-  sp_mech : string;  (** sgx1 | sgx2 *)
+  sp_workload : Harness.Builder.workload;
+  sp_policy : Harness.Builder.policy;
+  sp_mech : Autarky.Pager.mech;
   sp_seed : int;
   sp_ops : int;  (** the horizon *)
 }
@@ -19,8 +19,14 @@ type spec = {
 val spec_label : spec -> string
 (** The lineage label keying the freshness counter. *)
 
-val cell_of_string : string -> (string * string * string, string) result
-(** Parse a ["workload:policy:mech"] cell spec. *)
+type cell = Harness.Builder.workload * Harness.Builder.policy * Autarky.Pager.mech
+
+val cell_of_string : string -> cell option
+(** Parse a ["workload:policy:mech"] cell (names from
+    {!Harness.Builder}'s table, e.g. ["ycsb:rate-limit:sgx1"] or
+    ["kernel:canneal:clusters:sgx2"]). *)
+
+val cell_to_string : cell -> string
 
 type world
 
@@ -28,8 +34,8 @@ val kind : string
 (** The image-kind string, ["longrun"]. *)
 
 val build : spec -> world
-(** Fresh platform at operation 0.  Raises [Invalid_argument] on an
-    unknown workload/policy/mech name. *)
+(** Fresh platform at operation 0: {!Harness.Builder.build} at the
+    perf-cell geometry, traced, with a digest sink attached. *)
 
 val step : world -> bool
 (** Perform one operation (one enclave entry); [false] once the horizon

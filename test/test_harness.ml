@@ -24,6 +24,21 @@ let test_allocator_region () =
   checkb "clusters registry shared" true
     (Autarky.Clusters.registered (Harness.System.clusters_of heap) p)
 
+let test_create_rejects_non_positive () =
+  let create ?(epc_frames = 64) ?(epc_limit = 32) ?(enclave_pages = 64) () =
+    ignore
+      (Harness.System.create ~epc_frames ~epc_limit ~enclave_pages
+         ~self_paging:true ())
+  in
+  Helpers.check_invalid_arg ~naming:"epc_frames" (create ~epc_frames:0);
+  Helpers.check_invalid_arg ~naming:"epc_limit" (create ~epc_limit:0);
+  Helpers.check_invalid_arg ~naming:"enclave_pages" (create ~enclave_pages:(-1))
+
+let test_reserve_rejects_non_positive () =
+  let sys = Helpers.autarky_system () in
+  Helpers.check_invalid_arg ~naming:"pages" (fun () ->
+      Harness.System.reserve sys ~pages:0)
+
 let test_vm_routes_to_cpu () =
   let sys = Helpers.autarky_system () in
   let b = Harness.System.reserve sys ~pages:1 in
@@ -371,6 +386,61 @@ let test_ledger_counts_owned_structures_exactly () =
     (reach oram - (reach (clock, rng) - 3))
     (ledger_words Oram.Path_oram.footprint oram)
 
+(* --- the world builder --------------------------------------------------- *)
+
+module Builder = Harness.Builder
+
+let test_builder_names_round_trip () =
+  List.iter
+    (fun w ->
+      checkb (Builder.workload_name w) true
+        (Builder.workload_of_name (Builder.workload_name w) = Some w))
+    Builder.workloads;
+  List.iter
+    (fun p ->
+      checkb (Builder.policy_name p) true
+        (Builder.policy_of_name (Builder.policy_name p) = Some p))
+    Builder.policies;
+  checkb "kernel:canneal" true
+    (Builder.workload_of_name "kernel:canneal"
+    = Some (Builder.Kernel (Workloads.Kernels.find "canneal")));
+  List.iter
+    (fun bad -> checkb bad true (Builder.workload_of_name bad = None))
+    [ "nope"; "kernel:nope"; "kernel"; "ycsb:1" ];
+  checkb "bad policy" true (Builder.policy_of_name "bogus" = None)
+
+(* Every (policy x workload) pair of the name table builds and runs: the
+   plain workloads at a 1 MiB allowance, where an ORAM cache of 2/3 of
+   it would not fit the 64-page paging budget, for 300 ops, past the 513
+   faults that trip the rate limiter were a uthash lookup to send no
+   progress event; each kernel at an allowance that holds its hot set
+   (a smaller one thrashes, which the rate limiter rightly stops) for a
+   few units. *)
+let test_builder_every_pair_runs () =
+  List.iter
+    (fun workload ->
+      let epc_limit, heap_pages, ops =
+        match workload with
+        | Builder.Kernel k -> (k.hot_pages + 512, Some 256, 4)
+        | _ -> (256, None, 300)
+      in
+      List.iter
+        (fun policy ->
+          let spec = Builder.spec ~epc_limit ?heap_pages policy in
+          let sys, op = Builder.build spec workload ~seed:7 in
+          match
+            Harness.System.run_in_enclave sys (fun () ->
+                for i = 1 to ops do
+                  op i
+                done)
+          with
+          | () -> ()
+          | exception e ->
+            Alcotest.failf "%s under %s: %s" (Builder.workload_name workload)
+              (Builder.policy_name policy) (Printexc.to_string e))
+        Builder.policies)
+    Builder.workloads
+
 let suite =
   [
     ("reserve carving", `Quick, test_reserve_carving);
@@ -399,4 +469,11 @@ let suite =
     ("swap store bytes per swapped page", `Quick, test_swap_store_bytes_per_page);
     ("ledger counts owned structures exactly", `Quick,
      test_ledger_counts_owned_structures_exactly);
+    ("create rejects non-positive sizes", `Quick,
+     test_create_rejects_non_positive);
+    ("reserve rejects non-positive pages", `Quick,
+     test_reserve_rejects_non_positive);
+    ("builder names round-trip", `Quick, test_builder_names_round_trip);
+    ("builder: every policy x workload runs", `Quick,
+     test_builder_every_pair_runs);
   ]

@@ -319,9 +319,9 @@ let test_store_persistence () =
 
 let longrun_spec ops =
   {
-    Longrun.sp_workload = "ycsb";
-    sp_policy = "rate-limit";
-    sp_mech = "sgx1";
+    Longrun.sp_workload = Harness.Builder.Ycsb;
+    sp_policy = Harness.Builder.Rate_limit;
+    sp_mech = `Sgx1;
     sp_seed = 11;
     sp_ops = ops;
   }
