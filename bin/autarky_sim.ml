@@ -14,8 +14,9 @@
 
    [run] and [trace] build their world with Harness.Builder, the perf
    matrix's builder: [ycsb] is YCSB-C GETs over a scrambled Zipfian,
-   [kvstore] uniform GETs on the same store.  An unknown workload or
-   scheme, or a size below one, is a one-line usage error (exit 124).
+   [kvstore] uniform GETs on the same store.  An unknown workload,
+   scheme or inject/redteam/defend filter name, or a size below one, is
+   a one-line usage error (exit 124).
 *)
 
 open Cmdliner
@@ -74,7 +75,10 @@ let workload_arg =
   let doc =
     "Workload: ycsb (YCSB-C GETs over a scrambled Zipfian), kvstore \
      (uniform GETs), uthash, spellcheck, jpeg, fontrender, or kernel:NAME \
-     (e.g. kernel:canneal; $(b,kernels) lists them)."
+     (e.g. kernel:canneal; $(b,kernels) lists them).  The tables of \
+     ycsb, kvstore, uthash and spellcheck grow with $(b,--epc-mb), so \
+     they page at any allowance; jpeg and fontrender touch a few code \
+     pages that fit any allowance, so they take no faults once warm."
   in
   let workload =
     name_conv ~what:"workload"
@@ -118,27 +122,35 @@ let jobs_arg =
 (* --- name filters and report files --------------------------------------- *)
 
 (* A comma-separated filter of registry names (inject, redteam and
-   defend): every unknown name is reported in one message, not just the
-   first. *)
-let parse_csv ~what ~of_name = function
-  | None -> None
-  | Some s ->
+   defend), parsed into its values: every unknown name is reported in
+   one usage error (exit 124), not just the first. *)
+let csv_conv ~what of_name to_name =
+  let parse s =
     let names =
       String.split_on_char ',' s
       |> List.filter_map (fun x ->
              let x = String.trim x in
              if x = "" then None else Some x)
     in
-    let unknown = List.filter (fun x -> of_name x = None) names in
-    if unknown <> [] then
-      failwith
-        (Printf.sprintf "unknown %s: %s"
-           (if List.length unknown = 1 then what
-            else if String.ends_with ~suffix:"y" what then
-              String.sub what 0 (String.length what - 1) ^ "ies"
-            else what ^ "s")
-           (String.concat ", " (List.map (Printf.sprintf "%S") unknown)));
-    Some (List.filter_map of_name names)
+    match List.filter (fun x -> of_name x = None) names with
+    | [] -> Ok (List.filter_map of_name names)
+    | unknown ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown %s: %s"
+             (if List.length unknown = 1 then what
+              else if String.ends_with ~suffix:"y" what then
+                String.sub what 0 (String.length what - 1) ^ "ies"
+              else what ^ "s")
+             (String.concat ", " (List.map (Printf.sprintf "%S") unknown))))
+  in
+  Arg.conv
+    ( parse,
+      fun ppf xs -> Format.pp_print_string ppf (String.concat "," (List.map to_name xs)) )
+
+(* An optional [csv_conv] filter; absent means every name. *)
+let csv_opt ~what of_name to_name names ~doc =
+  Arg.(value & opt (some (csv_conv ~what of_name to_name)) None & info names ~doc)
 
 (* Where a benchmark writes its report: [--out] if given, else the
    committed [baseline] in full mode and no file in quick mode. *)
@@ -377,13 +389,15 @@ let inject_cmd =
       "Comma-separated scenarios (default all): bit-flip, replay, \
        drop-blob, epc-burst, limit-shrink, balloon-storm, reentry."
     in
-    Arg.(value & opt (some string) None & info [ "scenarios" ] ~doc)
+    csv_opt ~what:"scenario" Inject.Fault.of_name Inject.Fault.name
+      [ "scenarios" ] ~doc
   in
   let policies_arg =
     let doc =
       "Comma-separated policies (default all): rate-limit, clusters, oram."
     in
-    Arg.(value & opt (some string) None & info [ "policies" ] ~doc)
+    csv_opt ~what:"policy" Inject.Campaign.policy_of_name
+      Inject.Campaign.policy_name [ "policies" ] ~doc
   in
   let verify_arg =
     let doc = "Re-execute every injected cell and require an identical \
@@ -416,12 +430,6 @@ let inject_cmd =
   in
   let run seeds ops scenarios policies verify max_restarts jobs print_digests
       snapshot_dir =
-    let scenarios =
-      parse_csv ~what:"scenario" ~of_name:Inject.Fault.of_name scenarios
-    in
-    let policies =
-      parse_csv ~what:"policy" ~of_name:Inject.Campaign.policy_of_name policies
-    in
     let checkpoint, on_detected =
       match snapshot_dir with
       | None -> (None, None)
@@ -771,14 +779,17 @@ let redteam_cmd =
       "Comma-separated adversaries (default all): copycat, branch-shadow, \
        pigeonhole, kingsguard."
     in
-    Arg.(value & opt (some string) None & info [ "adversaries" ] ~doc)
+    csv_opt ~what:"adversary" Redteam.Scoreboard.find_adversary
+      (fun (a : Redteam.Adversary.t) -> a.id)
+      [ "adversaries" ] ~doc
   in
   let policies_arg =
     let doc =
       "Comma-separated victim policies (default all): baseline, rate-limit, \
        clusters, oram."
     in
-    Arg.(value & opt (some string) None & info [ "policies" ] ~doc)
+    csv_opt ~what:"policy" Redteam.Victim.policy_of_name
+      Redteam.Victim.policy_name [ "policies" ] ~doc
   in
   let mechs_arg =
     let doc =
@@ -786,7 +797,8 @@ let redteam_cmd =
        baseline victim only exists on sgx1 and is never dropped by this \
        filter."
     in
-    Arg.(value & opt (some string) None & info [ "mechs" ] ~doc)
+    csv_opt ~what:"mech" Harness.Builder.mech_of_name Harness.Builder.mech_name
+      [ "mechs" ] ~doc
   in
   let out_arg =
     let doc =
@@ -804,17 +816,6 @@ let redteam_cmd =
           Printf.printf "%-14s %s\n" a.id a.description)
         Redteam.Scoreboard.adversaries
     else begin
-      let adversaries =
-        parse_csv ~what:"adversary" ~of_name:Redteam.Scoreboard.find_adversary
-          adversaries
-      in
-      let policies =
-        parse_csv ~what:"policy" ~of_name:Redteam.Victim.policy_of_name
-          policies
-      in
-      let mechs =
-        parse_csv ~what:"mech" ~of_name:Harness.Builder.mech_of_name mechs
-      in
       let cells =
         Redteam.Scoreboard.run ~quick ?adversaries ?policies ?mechs ~seed ~jobs
           ()
@@ -855,14 +856,17 @@ let defend_cmd =
       "Comma-separated attack waves (default all): copycat, kingsguard, \
        pigeonhole, balloon-storm."
     in
-    Arg.(value & opt (some string) None & info [ "adversaries" ] ~doc)
+    csv_opt ~what:"adversary" Defense.Waves.of_name Defense.Waves.name
+      [ "adversaries" ] ~doc
   in
   let policies_arg =
     let doc =
       "Comma-separated policy ladders (default both): standard (rate-limit \
        -> clusters -> oram), heisenberg (adds the preload rung)."
     in
-    Arg.(value & opt (some string) None & info [ "policies" ] ~doc)
+    csv_opt ~what:"ladder"
+      (fun l -> if Defense.Defend.find_ladder l = None then None else Some l)
+      Fun.id [ "policies" ] ~doc
   in
   let out_arg =
     let doc =
@@ -889,17 +893,9 @@ let defend_cmd =
         Defense.Defend.ladder_names
     end
     else begin
-      let adversaries =
-        parse_csv ~what:"adversary" ~of_name:Defense.Waves.of_name adversaries
-      in
-      let ladder_filter =
-        parse_csv ~what:"ladder"
-          ~of_name:(fun l ->
-            if Defense.Defend.find_ladder l = None then None else Some l)
-          policies
-      in
       let cells =
-        Defense.Defend.run ~quick ?adversaries ?ladder_filter ~seed ~jobs ()
+        Defense.Defend.run ~quick ?adversaries ?ladder_filter:policies ~seed
+          ~jobs ()
       in
       Defense.Defend.print_table cells;
       write_cells ~quick ~baseline:"BENCH_defense.json" out ~cells (fun () ->

@@ -1,12 +1,13 @@
 (** ChaCha20 stream cipher (RFC 8439 core).
 
     Stands in for the AES-NI / MEE encryption the paper's prototype uses
-    for swapped-out page contents.  Pure OCaml, constant-shape (no
-    data-dependent branches on key or plaintext).
+    for swapped-out page contents.  The block function is a C kernel
+    (sealer_kernels.c): constant-shape (no branches on key or
+    plaintext), little-endian words at any alignment, no global state.
+    The argument checks below stay in OCaml.
 
-    The state words live in unboxed [Int64] locals, so {!xor_into}
-    allocates nothing and {!xor_stream} only the bytes it returns;
-    bit-identical to the boxed reference in {!Chacha20_ref}. *)
+    {!xor_into} allocates nothing and {!xor_stream} only the bytes it
+    returns; bit-identical to the boxed reference in {!Chacha20_ref}. *)
 
 type key = bytes
 (** 32-byte key. *)

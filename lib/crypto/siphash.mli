@@ -3,9 +3,11 @@
     Used by the page sealer to authenticate swapped-out page contents,
     standing in for the GCM/integrity-tree MACs of real SGX.
 
-    The state lanes live in unboxed [Int64] locals, so [hash] allocates
-    only the digest it returns; bit-identical to the boxed reference in
-    {!Siphash_ref}. *)
+    The rounds are a C kernel (sealer_kernels.c): constant-shape,
+    little-endian words at any alignment, no global state.  The length
+    check stays in OCaml.  [hash] allocates only the digest it returns,
+    and not even that where {!hash_prefix} inlines into its caller;
+    bit-identical to the boxed reference in {!Siphash_ref}. *)
 
 type key
 (** Expanded 128-bit key: two 64-bit little-endian words. *)

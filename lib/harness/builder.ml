@@ -209,7 +209,9 @@ let build ?(on_system = ignore) s workload ~seed =
         ignore (Workloads.Uthash.find u ~key:(i * 7919 mod n));
         vm.Workloads.Vm.progress ()
     | Spellcheck ->
-      let n_words = 20_000 in
+      (* Sized from the heap, as the kvstore and uthash are, so the
+         dictionary outgrows the EPC allowance at any geometry. *)
+      let n_words = s.heap_pages * 32 in
       let d =
         Workloads.Spellcheck.load_dictionary ~vm ~alloc ~rng ~name:"en" ~n_words ()
       in

@@ -13,9 +13,14 @@ type workload =
   | Ycsb  (** YCSB-C GETs over a scrambled Zipfian, on a kvstore *)
   | Kvstore  (** uniform GETs on the same kvstore *)
   | Uthash  (** uthash lookups, one progress event each *)
-  | Spellcheck  (** Zipfian dictionary checks *)
-  | Jpeg  (** block-row decodes *)
-  | Fontrender  (** glyph renders *)
+  | Spellcheck
+      (** Zipfian checks of a dictionary of [32 * heap_pages] words *)
+  | Jpeg
+      (** block-row decodes: a code-page workload whose few pages fit
+          any EPC allowance, so it takes no faults once warm *)
+  | Fontrender
+      (** glyph renders: a code-page workload that, like [Jpeg], fits
+          any EPC allowance *)
   | Kernel of Workloads.Kernels.spec
       (** one progress unit of a Fig. 7 kernel per op, its working set
           reserved in the enclave past the heap *)

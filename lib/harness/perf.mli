@@ -2,8 +2,9 @@
     bench "perf" experiment.
 
     Measures real wall-clock time ([Unix.gettimeofday]) and allocation
-    rates ([Gc.allocated_bytes]) — not the simulator's virtual clock —
-    for (a) the crypto hot paths against their preserved boxed
+    rates (allocated words, counted exactly for the micro rows;
+    [Gc.allocated_bytes] for the matrix) — not the simulator's virtual
+    clock — for (a) the crypto hot paths against their preserved boxed
     reference implementations, and (b) a fixed-seed workload matrix
     across policies and paging mechanisms.  Writes the stable
     ["autarky-perf/2"] JSON schema (see DESIGN.md §11): per-access

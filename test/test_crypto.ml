@@ -362,6 +362,46 @@ let qcheck_cases =
           Bytes.equal
             (Sim_crypto.Chacha20.xor_stream ~key ~counter ~nonce pt)
             (Sim_crypto.Chacha20_ref.xor_stream ~key ~counter ~nonce pt));
+      (* The sealer only ever XORs from offset 0 and MACs whole rows;
+         these reach the kernels' unaligned stores, partial last words
+         and the counter wrap. *)
+      QCheck2.Test.make
+        ~name:"chacha xor_into matches reference at any offset and counter"
+        ~count:300
+        QCheck2.Gen.(
+          tup5 (string_size (return 32)) (string_size (return 12))
+            (oneof
+               [ int32;
+                 map (fun k -> Int32.sub 0xFFFFFFFFl (Int32.of_int k)) (int_range 0 4) ])
+            (pair (string_size (int_range 0 300)) (int_range 0 9))
+            (pair (int_range 0 17) (int_range 0 17)))
+        (fun (k, n, counter, (s, src_extra), (dst_off, dst_extra)) ->
+          let key = Bytes.of_string k and nonce = Bytes.of_string n in
+          let len = String.length s in
+          let src = Bytes.of_string (s ^ String.make src_extra 'x') in
+          let dst =
+            Bytes.init (dst_off + len + dst_extra) (fun i -> Char.chr ((i * 37) land 0xFF))
+          in
+          let before = Bytes.copy dst in
+          Sim_crypto.Chacha20.xor_into ~key ~counter ~nonce src ~len dst ~dst_off;
+          Bytes.equal (Bytes.sub dst dst_off len)
+            (Sim_crypto.Chacha20_ref.xor_stream ~key ~counter ~nonce (Bytes.of_string s))
+          && Bytes.equal (Bytes.sub dst 0 dst_off) (Bytes.sub before 0 dst_off)
+          && Bytes.equal
+               (Bytes.sub dst (dst_off + len) dst_extra)
+               (Bytes.sub before (dst_off + len) dst_extra));
+      QCheck2.Test.make ~name:"siphash hash_prefix matches reference at every length"
+        ~count:100
+        QCheck2.Gen.(pair (string_size (return 16)) (string_size (int_range 0 100)))
+        (fun (kb, s) ->
+          let kb = Bytes.of_string kb and data = Bytes.of_string s in
+          let k = Sim_crypto.Siphash.key_of_bytes kb in
+          let rk = Sim_crypto.Siphash_ref.key_of_bytes kb in
+          List.for_all
+            (fun len ->
+              Sim_crypto.Siphash.hash_prefix k data ~len
+              = Sim_crypto.Siphash_ref.hash rk (Bytes.sub data 0 len))
+            (List.init (Bytes.length data + 1) Fun.id));
       QCheck2.Test.make ~name:"sealer roundtrip on random pages" ~count:100
         QCheck2.Gen.(pair (string_size (int_range 1 200)) (int_range 0 1_000_000))
         (fun (s, v) ->

@@ -428,16 +428,29 @@ let test_builder_every_pair_runs () =
         (fun policy ->
           let spec = Builder.spec ~epc_limit ?heap_pages policy in
           let sys, op = Builder.build spec workload ~seed:7 in
-          match
-            Harness.System.run_in_enclave sys (fun () ->
-                for i = 1 to ops do
-                  op i
-                done)
-          with
+          let faults () =
+            Metrics.Counters.get (Harness.System.counters sys) "cpu.page_fault"
+          in
+          let f0 = faults () in
+          (match
+             Harness.System.run_in_enclave sys (fun () ->
+                 for i = 1 to ops do
+                   op i
+                 done)
+           with
           | () -> ()
           | exception e ->
             Alcotest.failf "%s under %s: %s" (Builder.workload_name workload)
-              (Builder.policy_name policy) (Printexc.to_string e))
+              (Builder.policy_name policy) (Printexc.to_string e));
+          (* The dictionary is sized from the heap, so it pages under
+             the policies that page on demand. *)
+          match (workload, policy) with
+          | Builder.Spellcheck, (Builder.Rate_limit | Builder.Clusters) ->
+            checkb
+              (Printf.sprintf "spellcheck faults under %s" (Builder.policy_name policy))
+              true
+              (faults () > f0)
+          | _ -> ())
         Builder.policies)
     Builder.workloads
 
